@@ -8,9 +8,18 @@ exponential/logarithm nodes with closed-form differentials.
 Everything is float64. Tensors without requires_grad are treated as
 constants. Gradients accumulate across backward calls; callers zero them
 between optimization steps.
+
+Inside a `with no_grad():` block every op returns a constant Tensor: no
+parents and no backward closure, so nothing but the live outputs is kept in
+memory. The values are exactly those computed outside the block. The block
+restores the previous mode on exit, including on an exception, and blocks
+nest. Use it for forward passes that are only read through `.data`;
+`backward()` on a result built inside the block reaches no parameter.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -109,6 +118,21 @@ class Tensor:
         return transpose(self, axes)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block record no autodiff graph."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -132,7 +156,7 @@ def _unbroadcast(g, shape):
 
 def _result(data, parents, backward_fn):
     live = tuple(p for p in parents if isinstance(p, Tensor))
-    if _needs_grad(*live):
+    if _grad_enabled and _needs_grad(*live):
         return Tensor(data, _parents=live, _backward_fn=backward_fn)
     return Tensor(data)
 

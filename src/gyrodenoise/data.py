@@ -125,18 +125,27 @@ class IncrementTable:
 # -- parsing -------------------------------------------------------------------
 
 def _read_csv_rows(path, n_cols_min):
-    rows = []
+    """Numeric rows of a CSV whose first column is a timestamp in ns.
+
+    Returns (t, values): the timestamps as exact int64 (a float64 parse
+    would round EuRoC-scale stamps, ~1.4e18 ns, to multiples of 256 ns) and
+    the next n_cols_min - 1 columns as a float (N, n_cols_min - 1) array.
+    Non-numeric lines before the first data row are headers.
+    """
+    stamps, rows, linenos = [], [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
-            if not _is_number(parts[0]):
+            try:
+                stamp = _parse_stamp(parts[0])
+            except ValueError:
                 if rows:
                     raise ValidationError(
                         f"{path}: line {lineno}: malformed numeric field"
-                    )
+                    ) from None
                 continue  # header line
             if len(parts) < n_cols_min:
                 raise ValidationError(
@@ -144,46 +153,60 @@ def _read_csv_rows(path, n_cols_min):
                     f"columns, got {len(parts)}"
                 )
             try:
-                row = [float(x) for x in parts[:n_cols_min]]
+                row = [float(x) for x in parts[1:n_cols_min]]
             except ValueError:
                 raise ValidationError(
                     f"{path}: line {lineno}: malformed numeric field"
                 ) from None
-            if not all(np.isfinite(row)):
-                raise ValidationError(
-                    f"{path}: line {lineno}: non-finite value"
-                )
+            if stamp is None:
+                raise ValidationError(f"{path}: line {lineno}: non-finite value")
+            stamps.append(stamp)
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    return np.array(rows)
-
-
-def _is_number(s):
+    values = np.array(rows)
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        lineno = linenos[int(np.argmax(bad))]
+        raise ValidationError(f"{path}: line {lineno}: non-finite value")
     try:
-        float(s)
-        return True
+        t = np.array(stamps, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, s in enumerate(stamps) if not -2**63 <= s < 2**63)
+        raise ValidationError(
+            f"{path}: line {linenos[i]}: timestamp outside the int64 range"
+        ) from None
+    return t, values
+
+
+def _parse_stamp(s):
+    """Exact integer nanoseconds. A float-formatted stamp is truncated, and
+    a non-finite one gives None; ValueError if s is not a number."""
+    try:
+        return int(s)
     except ValueError:
-        return False
+        v = float(s)
+        return int(v) if np.isfinite(v) else None
 
 
 def load_sequence(imu_path, gt_path, fmt="synth", nominal_rate=200.0, name=""):
     """Load one recording. Returns (ImuSequence, GroundTruth)."""
     if fmt not in ("synth", "euroc", "tumvi"):
         raise ValidationError(f"unknown format {fmt!r}")
-    imu_rows = _read_csv_rows(imu_path, 7)
+    imu_t, imu_rows = _read_csv_rows(imu_path, 7)
     imu = ImuSequence(
-        t=imu_rows[:, 0].astype(np.int64),
-        gyro=imu_rows[:, 1:4],
-        acc=imu_rows[:, 4:7],
+        t=imu_t,
+        gyro=imu_rows[:, 0:3],
+        acc=imu_rows[:, 3:6],
         nominal_rate=nominal_rate,
         name=name,
     )
-    gt_rows = _read_csv_rows(gt_path, 8)
+    gt_t, gt_rows = _read_csv_rows(gt_path, 8)
     gt = GroundTruth(
-        t=gt_rows[:, 0].astype(np.int64),
-        rot=so3.quat_to_rot(gt_rows[:, 4:8]),
-        pos=gt_rows[:, 1:4],
+        t=gt_t,
+        rot=so3.quat_to_rot(gt_rows[:, 3:7]),
+        pos=gt_rows[:, 0:3],
     )
     return imu, gt
 

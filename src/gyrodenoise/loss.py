@@ -83,34 +83,6 @@ def increment_loss(pred_blocks, gt_blocks, huber_delta, valid=None):
     return per_window.mean()
 
 
-def loss_j(pred_increments, gt_table, j, huber_delta, start_index=0):
-    """Loss term for one j from per-sample increments and a ground-truth
-    increment table.
-
-    pred_increments: Tensor (M, 3, 3) of per-sample increments where entry k
-    covers the ground-truth interval [start_index + k, start_index + k + 1];
-    start_index must be a multiple of j and M divisible by j.
-    """
-    if start_index % j != 0:
-        raise ValueError("start_index must align to the subsampling stride j")
-    m = pred_increments.shape[0]
-    pred_blocks = tree_products(pred_increments, j)
-    starts, gt_rots = gt_table.for_j(j)
-    block_starts = start_index + j * np.arange(m // j)
-    lookup = {int(s): k for k, s in enumerate(starts)}
-    sel_pred = []
-    sel_gt = []
-    for bi, s in enumerate(block_starts):
-        k = lookup.get(int(s))
-        if k is not None:
-            sel_pred.append(bi)
-            sel_gt.append(k)
-    if not sel_pred:
-        raise ValueError(f"no ground-truth increments available for j={j}")
-    pred_sel = pred_blocks[np.array(sel_pred)]
-    return increment_loss(pred_sel, gt_rots[np.array(sel_gt)], huber_delta)
-
-
 @dataclass
 class LossBatch:
     """Fixed-length training windows with aligned ground-truth increments.

@@ -215,17 +215,10 @@ def integrate_corrected(params: ModelParams, imu_seq, r0, dt=None,
     if dt is None:
         dt = imu_seq.dt
     x = np.concatenate([gyro.T, acc.T], axis=0)[None]
-    w_hat = forward(params, x, training=False, zero_input=zero_input,
-                    pad=True).data[0].T
+    with ad.no_grad():
+        w_hat = forward(params, x, training=False, zero_input=zero_input,
+                        pad=True).data[0].T
     return so3.integrate_increments(r0, w_hat, dt)
-
-
-def corrected_rates(params: ModelParams, imu_seq, zero_input=False):
-    """Corrected gyro (M, 3) for a full sequence (eval mode, padded)."""
-    x = np.concatenate([np.asarray(imu_seq.gyro).T,
-                        np.asarray(imu_seq.acc).T], axis=0)[None]
-    return forward(params, x, training=False, zero_input=zero_input,
-                   pad=True).data[0].T
 
 
 # -- checkpoints -----------------------------------------------------------------

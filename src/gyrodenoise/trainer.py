@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data, loss, network
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite or its residuals left the log's domain."""
 
-    def __init__(self, epoch):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
+    def __init__(self, epoch, reason="non-finite training loss"):
+        super().__init__(f"{reason} at epoch {epoch}")
         self.epoch = epoch
 
 
@@ -137,13 +138,14 @@ class TrainResult:
 
 
 def _guarded_loss(epoch, *args, **kwargs):
-    """total_loss with non-finite failures mapped to DivergenceError."""
+    """total_loss with divergence failures mapped to DivergenceError."""
     try:
         out = loss.total_loss(*args, **kwargs)
     except ValueError as err:
-        # non-finite rates blow up inside the exponential map
-        if "non-finite" in str(err):
-            raise DivergenceError(epoch) from err
+        # non-finite rates blow up inside the exponential map; rates far off
+        # the ground truth leave residual rotations near pi, outside log_so3
+        if "non-finite" in str(err) or "angles below pi" in str(err):
+            raise DivergenceError(epoch, str(err)) from err
         raise
     if not np.isfinite(out.data):
         raise DivergenceError(epoch)
@@ -152,11 +154,12 @@ def _guarded_loss(epoch, *args, **kwargs):
 
 def _eval_loss(params, batches, lcfg, zero_input, epoch=0):
     total, n = 0.0, 0
-    for batch in batches:
-        val = _guarded_loss(epoch, params, batch, lcfg, training=False,
-                            zero_input=zero_input).data
-        total += float(val) * len(batch.x)
-        n += len(batch.x)
+    with ad.no_grad():
+        for batch in batches:
+            val = _guarded_loss(epoch, params, batch, lcfg, training=False,
+                                zero_input=zero_input).data
+            total += float(val) * len(batch.x)
+            n += len(batch.x)
     return total / n
 
 
@@ -276,8 +279,9 @@ def recovered_calibration(params: network.ModelParams):
     c_hat = params.c_omega.data
     rf = params.config.receptive_field
     zero = np.zeros((1, 6, rf + 1))
-    const = network.forward(params, zero, training=False,
-                            zero_input=True).data[0, :, 0]
+    with ad.no_grad():
+        const = network.forward(params, zero, training=False,
+                                zero_input=True).data[0, :, 0]
     c_implied = np.linalg.inv(c_hat)
     bias = -np.linalg.solve(c_hat, const)
     return c_implied, bias

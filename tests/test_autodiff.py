@@ -313,3 +313,71 @@ def test_forward_backward_deterministic():
     b = run()
     for u, v in zip(a, b):
         np.testing.assert_array_equal(u, v)
+
+
+# -- no_grad ---------------------------------------------------------------------
+
+def _small_pipeline(rng_seed=18):
+    """A forward through every node kind the network and loss use."""
+    rng = np.random.default_rng(rng_seed)
+    x = ad.Tensor(rng.normal(size=(2, 3, 30)))
+    w = ad.Tensor(rng.normal(size=(3, 3, 3)) * 0.3, requires_grad=True)
+    b = ad.Tensor(rng.normal(size=3) * 0.1, requires_grad=True)
+    gamma = ad.Tensor(np.ones(3), requires_grad=True)
+    beta = ad.Tensor(np.zeros(3), requires_grad=True)
+    state = ad.BatchNormState(3)
+    state.mean, state.var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+    m = ad.Tensor(np.eye(3) + 0.1 * rng.normal(size=(3, 3)), requires_grad=True)
+    h = ad.conv1d_dilated(x, w, b, 2)
+    h = ad.gelu(ad.batchnorm1d(h, gamma, beta, state, training=False))
+    h = ad.channel_affine(m, h) + h * 0.5 - 0.01
+    rots = ad.exp_so3(h[(0, slice(None), slice(0, 8))].transpose(1, 0) * 0.1)
+    resid = ad.matmul(rots[0:4], rots[4:8].transpose(0, 2, 1))
+    out = ad.huber(ad.log_so3(resid), 0.05).sum()
+    return out, h, (w, b, gamma, beta, m)
+
+
+def test_no_grad_values_match_recorded_path():
+    recorded, h_rec, _ = _small_pipeline()
+    with ad.no_grad():
+        free, h_free, _ = _small_pipeline()
+    np.testing.assert_array_equal(free.data, recorded.data)
+    np.testing.assert_array_equal(h_free.data, h_rec.data)
+    assert recorded._backward_fn is not None
+
+
+def test_no_grad_results_record_no_graph():
+    w = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    with ad.no_grad():
+        out, h, _ = _small_pipeline()
+        y = ad.matmul(w, w).sum()
+    for t in (out, h, y):
+        assert t._parents == ()
+        assert t._backward_fn is None
+        assert not t.requires_grad
+
+
+def test_no_grad_restores_mode_after_exception_and_nesting():
+    w = ad.Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert (w * 2.0)._backward_fn is not None
+    with ad.no_grad():
+        with ad.no_grad():
+            assert (w * 2.0)._backward_fn is None
+        # leaving the inner block keeps the outer one in force
+        assert (w * 2.0)._backward_fn is None
+    assert (w * 2.0)._backward_fn is not None
+
+
+def test_backward_works_after_no_grad():
+    ref, _, ref_leaves = _small_pipeline()
+    ref.backward()
+    with ad.no_grad():
+        _small_pipeline()
+    out, _, leaves = _small_pipeline()
+    out.backward()
+    for leaf, ref_leaf in zip(leaves, ref_leaves):
+        assert leaf.grad is not None and np.any(leaf.grad != 0)
+        np.testing.assert_array_equal(leaf.grad, ref_leaf.grad)

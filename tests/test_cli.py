@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gyrodenoise import cli, data
+from gyrodenoise import cli, data, loss, network
 
 
 def run(*argv):
@@ -117,6 +117,25 @@ def test_calibrate_writes_recovered_calibration(tmp_path):
     cal = json.load(open(os.path.join(outdir, "calibration.json")))
     assert np.array(cal["C_omega"]).shape == (3, 3)
     assert len(cal["gyro_bias"]) == 3
+
+
+def test_divergence_into_large_residual_is_exit_3(tmp_path):
+    # a stationary scene and a checkpoint whose constant correction turns
+    # every 32-sample block by pi: log_so3 rejects the residual on the first
+    # validation pass, which is divergence, not a data error
+    n = 4000
+    t = np.arange(n) * 5_000_000
+    data.write_imu_csv(tmp_path / "imu.csv", t, np.zeros((n, 3)),
+                       np.zeros((n, 3)))
+    data.write_gt_csv(tmp_path / "gt.csv", t, np.tile(np.eye(3), (n, 1, 1)),
+                      np.zeros((n, 3)))
+    params = network.ModelParams()
+    params.conv_b[-1].data[0] = np.pi / (32 * loss.LossConfig().dt)
+    ckpt = str(tmp_path / "diverged.json")
+    network.save_checkpoint(ckpt, params)
+    argv = ["--imu", str(tmp_path / "imu.csv"), "--gt", str(tmp_path / "gt.csv"),
+            "--out", str(tmp_path / "run"), "--window-len", "608", "--quiet"]
+    assert run("train", *argv, "--epochs", "1", "--resume", ckpt) == cli.EXIT_DIVERGED
 
 
 def test_train_is_reproducible(tmp_path):

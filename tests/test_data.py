@@ -50,10 +50,32 @@ def test_euroc_layout_parses(tmp_path):
     np.testing.assert_allclose(gt.rot[0], np.eye(3))
 
 
+def test_euroc_scale_timestamps_are_exact(tmp_path):
+    # ~1.4e18 ns stamps are not representable in float64 (spacing 256 ns)
+    t0 = 1403636579758555393
+    t = t0 + np.arange(401, dtype=np.int64) * 5_000_000
+    t[1] += 100
+    data.write_imu_csv(tmp_path / "imu.csv", t[:400], np.zeros((400, 3)),
+                       np.zeros((400, 3)))
+    data.write_gt_csv(tmp_path / "gt.csv", t, np.tile(np.eye(3), (401, 1, 1)),
+                      np.zeros((401, 3)))
+    seq, gt = data.load_sequence(tmp_path / "imu.csv", tmp_path / "gt.csv")
+    np.testing.assert_array_equal(seq.t, t[:400])
+    np.testing.assert_array_equal(gt.t, t)
+
+
 def test_nan_row_rejected_with_line_number(tmp_path):
     p = tmp_path / "imu.csv"
     p.write_text("t_ns,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n"
                  "5000000,nan,0,0,0,0,0\n")
+    with pytest.raises(data.ValidationError, match="line 3"):
+        data.load_sequence(p, p, "synth")
+
+
+def test_out_of_range_timestamp_rejected_with_line_number(tmp_path):
+    p = tmp_path / "imu.csv"
+    p.write_text("t_ns,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n"
+                 "1e300,0,0,0,0,0,0\n")
     with pytest.raises(data.ValidationError, match="line 3"):
         data.load_sequence(p, p, "synth")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,54 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.bn_state[0].mean, params.bn_state[0].mean)
     assert loaded.bn_state[0].initialized
     np.testing.assert_array_equal(loaded.input_mean, params.input_mean)
+
+
+def _trained_like_params(seed=8):
+    """Default model with a non-zero final layer and settled batchnorm."""
+    rng = np.random.default_rng(seed)
+    params = network.ModelParams(seed=seed)
+    params.conv_w[-1].data = 0.01 * rng.normal(size=params.conv_w[-1].data.shape)
+    params.conv_b[-1].data = 0.01 * rng.normal(size=3)
+    for s in params.bn_state:
+        s.mean = 0.1 * rng.normal(size=s.mean.shape)
+        s.var = rng.uniform(0.5, 2.0, size=s.var.shape)
+        s.initialized = True
+    return params
+
+
+def _scene_sequence(duration, seed):
+    spec = imu.SyntheticScene(duration=duration, rate=200.0)
+    scene = imu.generate_scene(spec, imu.CalibParams(), seed=seed)
+    seq = data.ImuSequence(scene["imu_t_ns"], scene["gyro"], scene["acc"])
+    return seq, scene["rot"][0]
+
+
+def test_integrate_corrected_matches_recorded_forward():
+    # integrate_corrected runs without a graph; the values must be those of
+    # the graph-recording forward
+    seq, r0 = _scene_sequence(5.0, seed=9)
+    params = _trained_like_params()
+    x = np.concatenate([seq.gyro.T, seq.acc.T], axis=0)[None]
+    for zero_input in (False, True):
+        out = network.forward(params, x, training=False, pad=True,
+                              zero_input=zero_input)
+        assert out._backward_fn is not None
+        ref = so3.integrate_increments(r0, out.data[0].T, seq.dt)
+        est = network.integrate_corrected(params, seq, r0,
+                                          zero_input=zero_input)
+        np.testing.assert_array_equal(est, ref)
+
+
+def test_integrate_corrected_peak_memory_12k_samples():
+    # recording the autodiff graph for this forward peaks at ~140 MB traced;
+    # without the graph the peak is ~63 MB
+    seq, r0 = _scene_sequence(60.0, seed=10)
+    assert len(seq) == 12_000
+    params = _trained_like_params()
+    tracemalloc.start()
+    try:
+        network.integrate_corrected(params, seq, r0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 90e6, f"traced peak {peak / 1e6:.1f} MB"
