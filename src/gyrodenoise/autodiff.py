@@ -415,17 +415,6 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training,
 
 # -- SO(3) nodes ---------------------------------------------------------------
 
-def _right_jacobian(v):
-    """Right Jacobian of the SO(3) exponential, batched over leading axes."""
-    theta = np.linalg.norm(v, axis=-1)
-    small = theta < 1e-6
-    th = np.where(small, 1.0, theta)
-    b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - np.cos(th)) / th**2)
-    c = np.where(small, 1.0 / 6.0 - theta**2 / 120.0, (th - np.sin(th)) / th**3)
-    k = so3.hat(v)
-    return np.eye(3) - b[..., None, None] * k + c[..., None, None] * (k @ k)
-
-
 def exp_so3(v):
     """Tensor node for the SO(3) exponential map, v (..., 3) -> (..., 3, 3)."""
     v = as_tensor(v)
@@ -434,12 +423,8 @@ def exp_so3(v):
     def backward(g):
         # dR = R hat(Jr dv)  =>  grad_v = Jr^T vee(R^T G - (R^T G)^T)
         a = np.einsum("...ji,...jk->...ik", out_data, g)
-        w = np.stack([
-            a[..., 2, 1] - a[..., 1, 2],
-            a[..., 0, 2] - a[..., 2, 0],
-            a[..., 1, 0] - a[..., 0, 1],
-        ], axis=-1)
-        jr = _right_jacobian(v.data)
+        w = so3.vee(a - np.swapaxes(a, -1, -2))
+        jr = so3.right_jacobian(v.data)
         v._accumulate(np.einsum("...ji,...j->...i", jr, w))
 
     return _result(out_data, (v,), backward)
@@ -453,23 +438,15 @@ def log_so3(r):
     (the loss only ever sees small residual rotations).
     """
     r = as_tensor(r)
-    tr = np.trace(r.data, axis1=-2, axis2=-1)
-    u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(u)
+    theta, a, c = so3.log_parts(r.data)
     if np.any(theta > np.pi - 0.01):
         raise ValueError("log_so3 tensor node requires angles below pi - 0.01")
-    small = theta < 1e-4
-    th = np.where(small, 1.0, theta)
-    c = np.where(small, 0.5 + theta**2 / 12.0, th / (2.0 * np.sin(th)))
-    a = np.stack([
-        r.data[..., 2, 1] - r.data[..., 1, 2],
-        r.data[..., 0, 2] - r.data[..., 2, 0],
-        r.data[..., 1, 0] - r.data[..., 0, 1],
-    ], axis=-1)
     out_data = c[..., None] * a
 
     def backward(g):
         # dc/du with u = (tr - 1)/2; series below the small-angle threshold
+        small = theta < so3.LOG_SMALL_ANGLE
+        th = np.where(small, 1.0, theta)
         dc_du = np.where(
             small,
             -(1.0 / 6.0 + theta**2 / 15.0),

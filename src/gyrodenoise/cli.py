@@ -158,14 +158,19 @@ def _train_config(args, cfg=None, **defaults):
 
 
 def _loss_config(cfg=None):
+    """LossConfig from config-file loss.* keys. The loss's sample period is
+    not a key: it is the data's, set by --rate or the config's `rate`."""
     fields = {}
     for key, val in (cfg or {}).items():
-        if key == "loss.js":
+        if not key.startswith("loss."):
+            continue
+        f = key[len("loss."):]
+        if f == "js":
             fields["js"] = tuple(int(x) for x in val.split(","))
-        elif key == "loss.huber_delta":
+        elif f == "huber_delta":
             fields["huber_delta"] = float(val)
-        elif key == "loss.dt":
-            fields["dt"] = float(val)
+        else:
+            raise data.ValidationError(f"unknown loss config key {f!r}")
     return loss.LossConfig(**fields)
 
 
@@ -206,9 +211,9 @@ def _run_fit(args, zero_input, defaults):
     outdir = _resolve_out(args.out)
     os.makedirs(outdir, exist_ok=True)
     cfg = data.parse_config(args.config) if args.config else {}
-    dataset = _load_dataset(args)
     tcfg = _train_config(args, cfg, **defaults)
     lcfg = _loss_config(cfg)
+    dataset = _load_dataset(args)
 
     start_epoch = 0
     params = None

@@ -1,4 +1,4 @@
-"""Dataset ingestion, ground-truth alignment, increment tables, augmentation.
+"""Dataset ingestion, ground-truth alignment and ground-truth increments.
 
 Supported on-disk layouts:
   synth   canonical CSV written by this package:
@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-
-# training-time augmentation noise, 0.01 deg/s expressed in rad/s
-DEFAULT_AUGMENT_STD = 0.01 * np.pi / 180.0
 
 
 class ValidationError(ValueError):
@@ -108,18 +105,6 @@ class SplitSpec:
                 lo, hi = (float(x) for x in val.split(","))
                 spec.windows[name] = (lo, hi)
         return spec
-
-
-@dataclass
-class IncrementTable:
-    """Ground-truth increments delta R_{i,i+j} at stride j, per j."""
-
-    entries: dict = field(default_factory=dict)  # j -> (starts, rots (K,3,3))
-
-    def for_j(self, j):
-        if j not in self.entries:
-            raise KeyError(f"no increments for j={j}")
-        return self.entries[j]
 
 
 # -- parsing -------------------------------------------------------------------
@@ -253,9 +238,10 @@ def align_ground_truth(imu: ImuSequence, gt: GroundTruth, offset_s=0.0,
     idx = np.searchsorted(gt_t, imu.t, side="right") - 1
     outside = (idx < 0) | (idx >= len(gt_t) - 1)
     idx = np.clip(idx, 0, len(gt_t) - 2)
-    ta = gt_t[idx].astype(float)
-    tb = gt_t[idx + 1].astype(float)
-    tau = np.clip((imu.t - ta) / (tb - ta), 0.0, 1.0)
+    # differences in exact int64 before the division: float64 stamps at
+    # EuRoC scale (~1.4e18 ns) are rounded to multiples of 256 ns
+    span = gt_t[idx + 1] - gt_t[idx]
+    tau = np.clip((imu.t - gt_t[idx]) / span, 0.0, 1.0)
 
     ra = gt.rot[idx]
     rb = gt.rot[idx + 1]
@@ -263,7 +249,7 @@ def align_ground_truth(imu: ImuSequence, gt: GroundTruth, offset_s=0.0,
     rot = ra @ so3.exp_so3(tau[:, None] * dv)
     pos = gt.pos[idx] * (1 - tau[:, None]) + gt.pos[idx + 1] * tau[:, None]
 
-    gaps = outside | ((tb - ta) > gap_factor * med_dt)
+    gaps = outside | (span > gap_factor * med_dt)
     gaps |= gt.gap_mask[idx] | gt.gap_mask[np.clip(idx + 1, 0, len(gt_t) - 1)]
     # exact hits on the last ground-truth sample are not outside
     exact_last = imu.t == gt_t[-1]
@@ -271,38 +257,23 @@ def align_ground_truth(imu: ImuSequence, gt: GroundTruth, offset_s=0.0,
     return GroundTruth(imu.t, rot, pos, gaps)
 
 
-def build_increment_table(gt: GroundTruth, js):
-    """delta R_{i,i+j} at i = 0, j, 2j, ... per j; windows touching a gap
-    are omitted."""
-    table = IncrementTable()
-    cumgap = np.concatenate([[0], np.cumsum(gt.gap_mask.astype(int))])
-    for j in sorted(js):
-        starts = np.arange(0, len(gt.rot) - j, j)
-        # window [i, i+j] intersects a gap iff any flagged sample inside
-        n_gaps = cumgap[starts + j + 1] - cumgap[starts]
-        keep = n_gaps == 0
-        starts = starts[keep]
-        ri = gt.rot[starts]
-        rj = gt.rot[starts + j]
-        table.entries[j] = (starts, np.swapaxes(ri, -1, -2) @ rj)
-    return table
+def gt_increments(gt: GroundTruth, starts, ends):
+    """Ground-truth increments delta R = R_start^T R_end per window.
 
-
-# -- augmentation ----------------------------------------------------------------
-
-def augment(imu: ImuSequence, noise_std=DEFAULT_AUGMENT_STD, seed=None,
-            rng=None):
-    """Fresh i.i.d. Gaussian noise on all 6 channels (per epoch)."""
-    noise_std = np.broadcast_to(np.asarray(noise_std, dtype=float), (6,))
-    if np.any(noise_std < 0):
-        raise ValueError("noise_std must be non-negative")
-    if not np.any(noise_std > 0):
-        return imu
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    noise = rng.normal(size=(len(imu), 6)) * noise_std
-    return ImuSequence(imu.t, imu.gyro + noise[:, :3], imu.acc + noise[:, 3:],
-                       imu.nominal_rate, imu.name)
+    starts and ends are integer arrays of one shape S. Returns rots
+    (S, 3, 3) and valid (S,): a window is valid when its end lies inside
+    the sequence and no sample in [start, end] is a gap. Invalid windows
+    hold the identity.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    cumgap = np.concatenate([[0], np.cumsum(gt.gap_mask, dtype=np.int64)])
+    valid = ends < len(gt.rot)
+    valid[valid] = cumgap[ends[valid] + 1] == cumgap[starts[valid]]
+    rots = np.tile(np.eye(3), starts.shape + (1, 1))
+    rots[valid] = (np.swapaxes(gt.rot[starts[valid]], -1, -2)
+                   @ gt.rot[ends[valid]])
+    return rots, valid
 
 
 # -- config files ----------------------------------------------------------------

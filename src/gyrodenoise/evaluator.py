@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network, so3
+from . import data, network, so3
 
 DEFAULT_DISTANCES = (7.0, 21.0, 35.0)
 METHODS = ("raw", "calibrated", "proposed", "zero")
@@ -77,7 +77,6 @@ def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
         raise ValueError("ground truth and estimate length mismatch")
     seg = np.linalg.norm(np.diff(gt.pos, axis=0), axis=-1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    cumgap = np.concatenate([[0], np.cumsum(gt.gap_mask.astype(int))])
     out = {}
     for dist in distances:
         if cum[-1] < dist:
@@ -94,9 +93,9 @@ def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
         g = np.where(below < above, g - 1, g)
         traveled = cum[g] - cum
         keep = (g > n) & (np.abs(traveled - dist) <= tolerance * dist)
-        keep &= (cumgap[g + 1] - cumgap[n]) == 0
         n, g, traveled = n[keep], g[keep], traveled[keep]
-        d_gt = np.swapaxes(gt.rot[n], -1, -2) @ gt.rot[g]
+        d_gt, valid = data.gt_increments(gt, n, g)
+        n, g, traveled, d_gt = n[valid], g[valid], traveled[valid], d_gt[valid]
         d_est = np.swapaxes(est_rots[n], -1, -2) @ est_rots[g]
         e = np.swapaxes(d_gt, -1, -2) @ d_est
         err3d = np.degrees(np.linalg.norm(so3.log_so3(e), axis=-1))

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import network
+from . import data, network
 
 
 @dataclass
 class LossConfig:
     js: tuple = (16, 32)
     huber_delta: float = 0.005
-    dt: float = 0.005
 
     def __post_init__(self):
         for j in self.js:
@@ -88,14 +87,16 @@ class LossBatch:
     """Fixed-length training windows with aligned ground-truth increments.
 
     x: (B, 6, T) raw IMU windows whose global start indices are multiples
-    of max(js). sup_offset is the local index (into the valid network
-    output) of the first supervised increment; gt[j] holds (B, W_j, 3, 3)
-    ground-truth increments with validity masks in valid[j].
+    of max(js), sampled every dt seconds. sup_offset is the local index
+    (into the valid network output) of the first supervised increment;
+    gt[j] holds (B, W_j, 3, 3) ground-truth increments with validity masks
+    in valid[j].
     """
 
     x: np.ndarray
     sup_offset: int
     sup_len: int
+    dt: float
     gt: dict = field(default_factory=dict)
     valid: dict = field(default_factory=dict)
 
@@ -117,11 +118,6 @@ def make_batch(imu_seq, gt_aligned, starts, window_len, net_config,
         raise ValueError("window too short for the receptive field and max j")
 
     xs = []
-    gts = {j: [] for j in loss_config.js}
-    valids = {j: [] for j in loss_config.js}
-    rot = gt_aligned.rot
-    gaps = gt_aligned.gap_mask
-    cumgap = np.concatenate([[0], np.cumsum(gaps.astype(int))])
     for s in starts:
         if s % mj != 0:
             raise ValueError(f"window start {s} not aligned to {mj}")
@@ -129,27 +125,16 @@ def make_batch(imu_seq, gt_aligned, starts, window_len, net_config,
             raise ValueError("window exceeds sequence length")
         xs.append(np.concatenate([imu_seq.gyro[s:s + t].T,
                                   imu_seq.acc[s:s + t].T], axis=0))
-        i0 = s + sup_first
-        for j in loss_config.js:
-            n_blocks = sup_len // j
-            bs = i0 + j * np.arange(n_blocks)
-            ok = bs + j < len(rot)
-            n_gap = np.zeros(n_blocks, dtype=int)
-            n_gap[ok] = cumgap[np.minimum(bs[ok] + j + 1, len(gaps))] - cumgap[bs[ok]]
-            valid = ok & (n_gap == 0)
-            g = np.tile(np.eye(3), (n_blocks, 1, 1))
-            vb = np.nonzero(valid)[0]
-            g[vb] = np.swapaxes(rot[bs[vb]], -1, -2) @ rot[bs[vb] + j]
-            gts[j].append(g)
-            valids[j].append(valid)
 
     # local output index of increment i0: i0 - (s + rf), identical across
     # windows since all starts share the same residue mod mj
     sup_offset = sup_first - rf
-    batch = LossBatch(np.stack(xs), sup_offset, sup_len)
+    batch = LossBatch(np.stack(xs), sup_offset, sup_len, imu_seq.dt)
+    i0 = np.asarray(starts, dtype=np.int64)[:, None] + sup_first
     for j in loss_config.js:
-        batch.gt[j] = np.stack(gts[j])
-        batch.valid[j] = np.stack(valids[j])
+        bs = i0 + j * np.arange(sup_len // j)
+        batch.gt[j], batch.valid[j] = data.gt_increments(gt_aligned, bs,
+                                                         bs + j)
     return batch
 
 
@@ -161,7 +146,7 @@ def total_loss(params, batch: LossBatch, config: LossConfig, training=False,
     a = batch.sup_offset
     sup = w_hat[(slice(None), slice(None), slice(a, a + batch.sup_len))]
     sup = sup.transpose(0, 2, 1)  # (B, L, 3)
-    incs = ad.exp_so3(sup * config.dt)
+    incs = ad.exp_so3(sup * batch.dt)
     out = None
     for j in config.js:
         pred_blocks = tree_products(incs, j)

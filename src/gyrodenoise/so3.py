@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# Branch thresholds (double-precision crossover points).
-EXP_SMALL_ANGLE = 1e-8
-LOG_SMALL_ANGLE = 1e-6
+# Branch thresholds, shared by the plain kernels and the autodiff nodes.
+# Below EXP_SMALL_ANGLE the Rodrigues coefficients use their Taylor series.
+# Below LOG_SMALL_ANGLE the log coefficient theta / (2 sin theta) does too:
+# its derivative's closed form cancels catastrophically under ~1e-4.
+EXP_SMALL_ANGLE = 1e-6
+LOG_SMALL_ANGLE = 1e-4
 LOG_NEAR_PI = np.pi - 1e-4
 
 ORTHO_TOL = 1e-6
@@ -42,18 +45,6 @@ def vee(m):
     )
 
 
-def is_rotation(r, tol=1e-9):
-    r = np.asarray(r, dtype=float)
-    if r.shape[-2:] != (3, 3):
-        return False
-    eye = np.eye(3)
-    ortho = np.linalg.norm(
-        np.swapaxes(r, -1, -2) @ r - eye, axis=(-2, -1)
-    )
-    det = np.linalg.det(r)
-    return bool(np.all(ortho < tol) and np.all(np.abs(det - 1.0) < tol))
-
-
 def check_rotation(r, tol=ORTHO_TOL):
     """Raise InvalidRotationError if r is not a rotation within tol."""
     r = np.asarray(r, dtype=float)
@@ -72,26 +63,39 @@ def check_rotation(r, tol=ORTHO_TOL):
     return r
 
 
-def exp_so3(v):
-    """SO(3) exponential map (Rodrigues formula), batched over leading axes.
+def _exp_coeffs(theta):
+    """Rodrigues coefficients of angles theta, with their series below
+    EXP_SMALL_ANGLE: sin(t)/t, (1 - cos t)/t^2 and (t - sin t)/t^3."""
+    small = theta < EXP_SMALL_ANGLE
+    th = np.where(small, 1.0, theta)  # avoid division warnings
+    sin = np.sin(th)
+    a = np.where(small, 1.0 - theta**2 / 6.0, sin / th)
+    b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - np.cos(th)) / th**2)
+    c = np.where(small, 1.0 / 6.0 - theta**2 / 120.0, (th - sin) / th**3)
+    return a, b, c
 
-    Uses a second-order series for the coefficients below EXP_SMALL_ANGLE to
-    avoid 0/0.
-    """
+
+def exp_so3(v):
+    """SO(3) exponential map (Rodrigues formula), batched over leading axes."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite rotation vector")
-    theta = np.linalg.norm(v, axis=-1)
-    small = theta < EXP_SMALL_ANGLE
-    th = np.where(small, 1.0, theta)  # avoid division warnings
-    a = np.where(small, 1.0 - theta**2 / 6.0, np.sin(th) / th)
-    b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - np.cos(th)) / th**2)
+    a, b, _ = _exp_coeffs(np.linalg.norm(v, axis=-1))
     k = hat(v)
     return (
         np.eye(3)
         + a[..., None, None] * k
         + b[..., None, None] * (k @ k)
     )
+
+
+def right_jacobian(v):
+    """Right Jacobian of the SO(3) exponential, batched over leading axes:
+    exp(v + dv) = exp(v) exp(right_jacobian(v) dv) to first order."""
+    v = np.asarray(v, dtype=float)
+    _, b, c = _exp_coeffs(np.linalg.norm(v, axis=-1))
+    k = hat(v)
+    return np.eye(3) - b[..., None, None] * k + c[..., None, None] * (k @ k)
 
 
 def _log_near_pi(r, theta):
@@ -116,6 +120,19 @@ def _log_near_pi(r, theta):
     return theta * n
 
 
+def log_parts(r):
+    """Angle theta, a = vee(R - R^T) = 2 sin(theta) n, and the coefficient
+    c = theta / (2 sin theta) (series below LOG_SMALL_ANGLE) of rotations
+    r (..., 3, 3), so that log(R) = c a away from theta = pi."""
+    tr = np.trace(r, axis1=-2, axis2=-1)
+    theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    a = vee(r - np.swapaxes(r, -1, -2))
+    small = theta < LOG_SMALL_ANGLE
+    th = np.where(small, 1.0, theta)
+    c = np.where(small, 0.5 + theta**2 / 12.0, th / (2.0 * np.sin(th)))
+    return theta, a, c
+
+
 def log_so3(r):
     """SO(3) logarithm map, inverse of exp_so3 on the ball |v| < pi.
 
@@ -125,26 +142,10 @@ def log_so3(r):
     r = check_rotation(r)
     single = r.ndim == 2
     rs = r.reshape((-1, 3, 3))
-    tr = np.trace(rs, axis1=-2, axis2=-1)
-    u = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(u)
-    a = vee(rs - np.swapaxes(rs, -1, -2))
-
-    out = np.empty((rs.shape[0], 3))
-    small = theta < LOG_SMALL_ANGLE
-    near_pi = theta > LOG_NEAR_PI
-    mid = ~small & ~near_pi
-
-    # series for theta / (2 sin theta)
-    c_small = 0.5 + theta[small] ** 2 / 12.0
-    out[small] = c_small[:, None] * a[small]
-
-    th = theta[mid]
-    out[mid] = (th / (2.0 * np.sin(th)))[:, None] * a[mid]
-
-    for idx in np.nonzero(near_pi)[0]:
+    theta, a, c = log_parts(rs)
+    out = c[:, None] * a
+    for idx in np.nonzero(theta > LOG_NEAR_PI)[0]:
         out[idx] = _log_near_pi(rs[idx], theta[idx])
-
     return out[0] if single else out.reshape(r.shape[:-2] + (3,))
 
 
@@ -160,11 +161,6 @@ def project_to_so3(m):
         u[..., :, 2] = np.where((det < 0)[..., None], -u[..., :, 2], u[..., :, 2])
         r = u @ vt
     return r
-
-
-def compose(a, b):
-    """Rotation composition a @ b."""
-    return np.matmul(a, b)
 
 
 def sequential_product(rots, reproject_every=512):
@@ -205,20 +201,6 @@ def integrate_increments(r0, omegas, dt, reproject_every=512):
             cur = project_to_so3(cur)
         out[i + 1] = cur
     return out
-
-
-def relative_increments(rots, j, stride=None):
-    """delta R_{i,i+j} = R_i^T R_{i+j} at i = 0, stride, 2*stride, ...
-
-    `stride` defaults to j (one window every j timestamps).
-    """
-    rots = np.asarray(rots, dtype=float)
-    if stride is None:
-        stride = j
-    starts = np.arange(0, len(rots) - j, stride)
-    ri = rots[starts]
-    rj = rots[starts + j]
-    return starts, np.swapaxes(ri, -1, -2) @ rj
 
 
 def quat_to_rot(q):

@@ -14,7 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import data, loss, network
+from . import loss, network
+
+
+# training-time augmentation noise, 0.01 deg/s expressed in rad/s
+DEFAULT_AUGMENT_STD = 0.01 * np.pi / 180.0
 
 
 class DivergenceError(RuntimeError):
@@ -40,7 +44,7 @@ class TrainConfig:
     window_len: int = 1792
     windows_per_batch: int = 6
     val_every: int = 25
-    augment_std: float = data.DEFAULT_AUGMENT_STD
+    augment_std: float = DEFAULT_AUGMENT_STD
 
     def __post_init__(self):
         if self.epochs < 1:

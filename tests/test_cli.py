@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gyrodenoise import cli, data, loss, network
+from gyrodenoise import cli, data, network
 
 
 def run(*argv):
@@ -124,13 +124,13 @@ def test_divergence_into_large_residual_is_exit_3(tmp_path):
     # every 32-sample block by pi: log_so3 rejects the residual on the first
     # validation pass, which is divergence, not a data error
     n = 4000
-    t = np.arange(n) * 5_000_000
-    data.write_imu_csv(tmp_path / "imu.csv", t, np.zeros((n, 3)),
-                       np.zeros((n, 3)))
-    data.write_gt_csv(tmp_path / "gt.csv", t, np.tile(np.eye(3), (n, 1, 1)),
-                      np.zeros((n, 3)))
+    seq = data.ImuSequence(np.arange(n) * 5_000_000, np.zeros((n, 3)),
+                           np.zeros((n, 3)))
+    data.write_imu_csv(tmp_path / "imu.csv", seq.t, seq.gyro, seq.acc)
+    data.write_gt_csv(tmp_path / "gt.csv", seq.t,
+                      np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)))
     params = network.ModelParams()
-    params.conv_b[-1].data[0] = np.pi / (32 * loss.LossConfig().dt)
+    params.conv_b[-1].data[0] = np.pi / (32 * seq.dt)
     ckpt = str(tmp_path / "diverged.json")
     network.save_checkpoint(ckpt, params)
     argv = ["--imu", str(tmp_path / "imu.csv"), "--gt", str(tmp_path / "gt.csv"),
@@ -175,6 +175,24 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert run("synth", "--duration", "1", "--rate", "200", "--seed", "1",
                "--out", "envscene") == 0
     assert (tmp_path / "envscene" / "imu.csv").exists()
+
+
+def test_loss_config_keys():
+    lcfg = cli._loss_config({"loss.js": "8,16", "loss.huber_delta": "0.01",
+                             "train.epochs": "3"})
+    assert lcfg.js == (8, 16) and lcfg.huber_delta == 0.01
+    # the sample period is the data's, never a loss key
+    for key in ("loss.dt", "loss.window"):
+        with pytest.raises(data.ValidationError, match="unknown loss config"):
+            cli._loss_config({key: "0.005"})
+
+
+def test_unknown_loss_config_key_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(f"data_root = {tmp_path}\nsplit.s1 = train\nloss.dt = 0.005\n")
+    assert run("train", "--config", str(cfg), "--out",
+               str(tmp_path / "run")) == cli.EXIT_DATA
+    assert "unknown loss config key 'dt'" in capsys.readouterr().err
 
 
 def test_config_file_split_workflow(tmp_path):

@@ -119,7 +119,7 @@ def test_align_resamples_lower_rate_gt():
     gt_lo = data.GroundTruth(gt.t[::4], gt.rot[::4], gt.pos[::4])
     out = data.align_ground_truth(seq, gt_lo)
     assert len(out) == len(seq)
-    assert so3.is_rotation(out.rot, tol=1e-9)
+    so3.check_rotation(out.rot, tol=1e-9)
     # interpolation error stays small for smooth motion
     err = np.linalg.norm(so3.log_so3(
         np.swapaxes(out.rot[:-1], -1, -2) @ gt.rot[: len(seq) - 1]), axis=-1)
@@ -156,14 +156,32 @@ def test_align_applies_time_offset():
     np.testing.assert_allclose(out.rot, ref.rot, atol=1e-12)
 
 
-# -- increment table -------------------------------------------------------------
+def test_align_exact_fraction_at_euroc_scale_stamps():
+    # float64 stamps near 1.4e18 ns are multiples of 256 ns, so taking the
+    # differences after a float cast gives tau = 0.1999898, not 0.2000074
+    t0 = 1403636579758555393
+    theta = 0.5
+    gt_t = t0 + 5_000_000 * np.arange(4, dtype=np.int64)
+    gt_rot = so3.exp_so3(np.outer(np.arange(4) * theta, [0.0, 0.0, 1.0]))
+    gt = data.GroundTruth(gt_t, gt_rot, np.zeros((4, 3)))
+    seq = data.ImuSequence(gt_t[:3] + 1_000_037, np.zeros((3, 3)),
+                           np.zeros((3, 3)))
+    out = data.align_ground_truth(seq, gt)
+    assert not out.gap_mask.any()
+    rel = np.swapaxes(gt_rot[:3], -1, -2) @ out.rot
+    angle = np.linalg.norm(so3.log_so3(rel), axis=-1)
+    np.testing.assert_allclose(angle, 0.2000074 * theta, rtol=1e-12, atol=0)
+
+
+# -- ground-truth increments ------------------------------------------------------
 
 def test_increment_table_constant_attitude():
     n = 200
     gt = data.GroundTruth((np.arange(n) * 5_000_000).astype(np.int64),
                           np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)))
-    table = data.build_increment_table(gt, {16})
-    starts, rots = table.for_j(16)
+    starts = np.arange(0, n - 16, 16)
+    rots, valid = data.gt_increments(gt, starts, starts + 16)
+    assert valid.all()
     np.testing.assert_allclose(rots, np.tile(np.eye(3), (len(starts), 1, 1)),
                                atol=0)
 
@@ -172,12 +190,13 @@ def test_increment_table_counts_and_values():
     scene = make_scene(duration=8.0)  # 1600 imu samples, 1601 rotations
     gt = data.GroundTruth(scene["gt_t_ns"][:1600], scene["rot"][:1600],
                           scene["pos"][:1600])
-    table = data.build_increment_table(gt, {16})
-    starts, rots = table.for_j(16)
-    assert len(starts) == 99
-    i = int(starts[5])
-    np.testing.assert_allclose(rots[5], scene["rot"][i].T @ scene["rot"][i + 16],
-                               atol=0)
+    starts = np.arange(0, 1600 - 16, 16).reshape(3, 33)
+    rots, valid = data.gt_increments(gt, starts, starts + 16)
+    assert rots.shape == (3, 33, 3, 3) and valid.shape == (3, 33)
+    assert valid.all()
+    i = int(starts[1, 5])
+    np.testing.assert_allclose(rots[1, 5],
+                               scene["rot"][i].T @ scene["rot"][i + 16], atol=0)
 
 
 def test_increment_table_masks_gaps():
@@ -185,50 +204,37 @@ def test_increment_table_masks_gaps():
     gaps = np.zeros(1601, dtype=bool)
     gaps[100:141] = True
     gt = data.GroundTruth(scene["gt_t_ns"], scene["rot"], scene["pos"], gaps)
-    table = data.build_increment_table(gt, {32})
-    starts, _ = table.for_j(32)
-    overlapping = [i for i in starts if i <= 140 and i + 32 >= 100]
-    assert overlapping == []
-    # non-overlapping windows survive
-    assert 160 in starts and 32 in starts
+    starts = np.arange(0, 1601 - 32, 32)
+    rots, valid = data.gt_increments(gt, starts, starts + 32)
+    # [64, 96] ends before the gap and [160, 192] starts after it; the two
+    # windows in between touch it
+    touching = (starts == 96) | (starts == 128)
+    np.testing.assert_array_equal(valid, ~touching)
+    np.testing.assert_array_equal(rots[~valid], np.tile(np.eye(3), (2, 1, 1)))
+    # a window whose last sample is the first gap sample is invalid too
+    _, v = data.gt_increments(gt, np.array([68, 141]), np.array([100, 173]))
+    np.testing.assert_array_equal(v, [False, True])
+
+
+def test_increment_table_end_beyond_sequence_is_invalid():
+    scene = make_scene(duration=1.0)  # 201 rotations
+    gt = data.GroundTruth(scene["gt_t_ns"], scene["rot"], scene["pos"])
+    starts = np.array([150, 168, 184, 200])
+    rots, valid = data.gt_increments(gt, starts, starts + 16)
+    np.testing.assert_array_equal(valid, [True, True, True, False])
+    np.testing.assert_array_equal(rots[3], np.eye(3))
 
 
 def test_increment_table_matches_integrated_true_gyro():
     scene = make_scene(duration=8.0)
     gt = data.GroundTruth(scene["gt_t_ns"], scene["rot"], scene["pos"])
-    table = data.build_increment_table(gt, {16, 32})
     rots = so3.integrate_increments(np.eye(3), scene["true_gyro"], scene["dt"])
     for j in (16, 32):
-        starts, incs = table.for_j(j)
+        starts = np.arange(0, len(gt) - j, j)
+        incs, valid = data.gt_increments(gt, starts, starts + j)
+        assert valid.all()
         ref = np.swapaxes(rots[starts], -1, -2) @ rots[starts + j]
         assert np.max(np.abs(incs - ref)) < 1e-9
-
-
-# -- augmentation ----------------------------------------------------------------
-
-def test_augment_zero_std_is_identity():
-    scene = make_scene(duration=1.0)
-    seq, _ = scene_to_objects(scene)
-    out = data.augment(seq, noise_std=0.0, seed=0)
-    np.testing.assert_array_equal(out.gyro, seq.gyro)
-
-
-def test_augment_default_std():
-    t = (np.arange(100_000) * 5_000_000).astype(np.int64)
-    seq = data.ImuSequence(t, np.zeros((100_000, 3)), np.zeros((100_000, 3)))
-    out = data.augment(seq, seed=1)
-    std = np.std(out.gyro - seq.gyro, axis=0)
-    target = 0.01 * np.pi / 180.0
-    assert np.all(np.abs(std - target) < 0.05 * target)
-
-
-def test_augment_seeds_differ():
-    scene = make_scene(duration=1.0)
-    seq, _ = scene_to_objects(scene)
-    a = data.augment(seq, seed=1)
-    b = data.augment(seq, seed=2)
-    assert not np.array_equal(a.gyro, b.gyro)
-    assert np.array_equal(data.augment(seq, seed=1).gyro, a.gyro)
 
 
 # -- config ----------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_untrained_total_loss_matches_raw_gyro_reference():
             for w in range(batch.sup_len // j):
                 i0 = s + 512 + w * j
                 pred = so3.integrate_increments(
-                    np.eye(3), seq.gyro[i0:i0 + j], lcfg.dt)[-1]
+                    np.eye(3), seq.gyro[i0:i0 + j], seq.dt)[-1]
                 res = so3.log_so3(batch.gt[j][bi, w] @ pred.T)
                 h = np.where(np.abs(res) <= lcfg.huber_delta,
                              0.5 * res ** 2,
@@ -152,6 +152,24 @@ def test_untrained_total_loss_matches_raw_gyro_reference():
                 residual_penalties.append(h.sum())
         expected += np.mean(residual_penalties)
     assert abs(got - expected) < 1e-12
+
+
+def test_untrained_loss_uses_the_data_sample_period():
+    # on a noise-free 100 Hz scene the untrained model passes the true rates
+    # through, so its increments match the ground truth only when integrated
+    # over the data's 0.01 s period
+    spec = imu.SyntheticScene(duration=8.0, rate=100.0)
+    scene = imu.generate_scene(spec, imu.CalibParams(), seed=0)
+    seq = data.ImuSequence(scene["imu_t_ns"], scene["gyro"], scene["acc"],
+                           nominal_rate=100.0)
+    gt = data.align_ground_truth(seq, data.GroundTruth(
+        scene["imu_t_ns"], scene["rot"][:-1], scene["pos"][:-1]))
+    ncfg = network.NetConfig()
+    lcfg = loss.LossConfig()
+    params = network.ModelParams(ncfg, seed=0)
+    batch = loss.make_batch(seq, gt, [0, 64], 608, ncfg, lcfg)
+    assert loss.total_loss(params, batch, lcfg).data < 1e-20
+    assert batch.dt == seq.dt == 0.01
 
 
 def test_total_loss_left_invariance():
@@ -175,7 +193,7 @@ def test_total_loss_left_invariance():
 def small_setup():
     ncfg = network.NetConfig(kernel_sizes=(3, 3, 1), dilations=(1, 2, 1),
                              channels=(6, 4, 4, 3), dropout=0.0)
-    lcfg = loss.LossConfig(js=(2, 4), dt=0.005)
+    lcfg = loss.LossConfig(js=(2, 4))
     calib = imu.CalibParams(bias=np.array([0.05, -0.03, 0.02, 0, 0, 0]))
     spec = imu.SyntheticScene(duration=0.25, rate=200.0)
     scene = imu.generate_scene(spec, calib, seed=6)

@@ -99,7 +99,7 @@ def small_net():
 
 
 def small_loss():
-    return loss.LossConfig(js=(2, 4), dt=0.005)
+    return loss.LossConfig(js=(2, 4))
 
 
 def make_dataset(duration=4.0, seed=0, calib=None, bias_walk=None):
@@ -167,6 +167,24 @@ def test_fit_is_deterministic():
     assert a.history == b.history
     for (n, ta), (_, tb) in zip(a.params.trainable(), b.params.trainable()):
         np.testing.assert_array_equal(ta.data, tb.data, err_msg=n)
+
+
+def test_fit_augmentation_noise_is_seeded():
+    train = [make_dataset(seed=0)]
+
+    def train_losses(augment_std):
+        params = network.ModelParams(small_net(), seed=3)
+        res = trainer.fit(train, None, params,
+                          quick_cfg(epochs=2, augment_std=augment_std),
+                          small_loss())
+        return [h[1] for h in res.history]
+
+    default = trainer.TrainConfig().augment_std
+    assert default == trainer.DEFAULT_AUGMENT_STD > 0
+    plain, noisy = train_losses(0.0), train_losses(default)
+    assert plain != noisy
+    assert train_losses(0.0) == plain
+    assert train_losses(default) == noisy
 
 
 def test_fit_best_val_not_worse_than_init():
