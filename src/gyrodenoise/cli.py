@@ -7,7 +7,7 @@ Subcommands:
   train      fit the full correction network
   integrate  run open-loop attitude integration with a checkpoint
   evaluate   compute AOE/ROE for the baseline methods and write reports
-  report     regenerate report files from a saved summary.json
+  report     rebuild the report files from summary.json and roe.csv
 
 Exit codes: 0 success, 1 usage error, 2 data validation error,
 3 numerical divergence.
@@ -213,6 +213,7 @@ def _run_fit(args, zero_input, defaults):
     cfg = data.parse_config(args.config) if args.config else {}
     tcfg = _train_config(args, cfg, **defaults)
     lcfg = _loss_config(cfg)
+    dropout = tcfg_dropout(zero_input, cfg)
     dataset = _load_dataset(args)
 
     start_epoch = 0
@@ -222,8 +223,8 @@ def _run_fit(args, zero_input, defaults):
         params, extra = network.load_checkpoint(args.resume)
         start_epoch = int(extra.get("epoch", 0))
     if params is None:
-        params = network.ModelParams(network.NetConfig(dropout=tcfg_dropout(
-            zero_input, cfg)), seed=tcfg.seed)
+        params = network.ModelParams(network.NetConfig(dropout=dropout),
+                                     seed=tcfg.seed)
 
     log_path = os.path.join(outdir, "metrics.csv")
     train_pairs = [(s, g) for _, s, g in dataset["train"]]
@@ -257,7 +258,11 @@ def _run_fit(args, zero_input, defaults):
 
 def tcfg_dropout(zero_input, cfg):
     """Dropout for the model: off in zeroed-input mode (the correction is a
-    constant, dropout would only add gradient noise)."""
+    constant, dropout would only add gradient noise). `net.dropout` is the
+    only net.* config key; any other is a ValidationError."""
+    for key in cfg:
+        if key.startswith("net.") and key != "net.dropout":
+            raise data.ValidationError(f"unknown net config key {key[4:]!r}")
     if zero_input:
         return 0.0
     return float(cfg.get("net.dropout", 0.1))

@@ -86,10 +86,6 @@ class SplitSpec:
     roles: dict = field(default_factory=dict)      # name -> role string
     windows: dict = field(default_factory=dict)    # name -> (start_s, end_s)
 
-    def sequences(self, role):
-        """Names assigned to a role; `train+val` sequences count for both."""
-        return sorted(n for n, r in self.roles.items() if role in r.split("+"))
-
     @classmethod
     def from_config(cls, cfg: dict):
         spec = cls()

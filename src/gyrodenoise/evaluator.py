@@ -11,6 +11,7 @@ reported in degrees.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +29,6 @@ class RoeSample:
     distance: float    # traveled meters, within 5% of the target bucket
     error_3d: float    # degrees
     error_yaw: float   # degrees
-
-    def to_list(self):
-        return [self.start, self.end, self.distance, self.error_3d,
-                self.error_yaw]
 
 
 def _yaw_of(e):
@@ -126,38 +123,18 @@ class MetricsReport:
     def roe_summary(self):
         out = {}
         for dist, samples in sorted(self.roe_samples.items()):
-            e3 = [s.error_3d for s in samples]
-            ey = [s.error_yaw for s in samples]
+            p3 = percentiles([s.error_3d for s in samples])
+            py = percentiles([s.error_yaw for s in samples])
             out[dist] = {
                 "count": len(samples),
-                "median_3d": percentiles(e3)[50.0],
-                "p25_3d": percentiles(e3)[25.0],
-                "p75_3d": percentiles(e3)[75.0],
-                "median_yaw": percentiles(ey)[50.0],
-                "p25_yaw": percentiles(ey)[25.0],
-                "p75_yaw": percentiles(ey)[75.0],
+                "median_3d": p3[50.0],
+                "p25_3d": p3[25.0],
+                "p75_3d": p3[75.0],
+                "median_yaw": py[50.0],
+                "p25_yaw": py[25.0],
+                "p75_yaw": py[75.0],
             }
         return out
-
-    def to_dict(self):
-        return {
-            "method": self.method,
-            "sequence": self.sequence,
-            "aoe_3d": self.aoe_3d,
-            "aoe_yaw": self.aoe_yaw,
-            "roe": {str(d): [s.to_list() for s in samples]
-                    for d, samples in self.roe_samples.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        samples = {
-            float(dist): [RoeSample(int(s[0]), int(s[1]), s[2], s[3], s[4])
-                          for s in rows]
-            for dist, rows in d["roe"].items()
-        }
-        return cls(d["method"], d["sequence"], d["aoe_3d"], d["aoe_yaw"],
-                   samples)
 
 
 def estimate_attitudes(method, seq, gt, params=None):
@@ -202,10 +179,9 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
 
 # -- report files ------------------------------------------------------------------
 
-def write_reports(reports, outdir, svg=True):
-    """Emit aoe.csv, roe.csv, summary.json and an ROE box plot per distance."""
-    import os
-
+def write_reports(reports, outdir):
+    """Emit aoe.csv, roe.csv (one row per window), summary.json (AOE and ROE
+    quartiles per method and sequence) and an ROE box plot per distance."""
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "aoe.csv"), "w") as f:
         f.write("method,sequence,aoe_3d_deg,aoe_yaw_deg\n")
@@ -220,37 +196,58 @@ def write_reports(reports, outdir, svg=True):
                     f.write(f"{r.method},{r.sequence},{dist:g},{s.start},"
                             f"{s.end},{s.distance:.6g},{s.error_3d:.17g},"
                             f"{s.error_yaw:.17g}\n")
+    roes = [r.roe_summary() for r in reports]
     summary = {
-        "reports": [r.to_dict() for r in reports],
         "summaries": [
             {"method": r.method, "sequence": r.sequence,
              "aoe_3d": r.aoe_3d, "aoe_yaw": r.aoe_yaw,
-             "roe": {str(d): v for d, v in r.roe_summary().items()}}
-            for r in reports
+             "roe": {str(d): v for d, v in roe.items()}}
+            for r, roe in zip(reports, roes)
         ],
     }
     path = os.path.join(outdir, "summary.json")
     with open(path, "w") as f:
         json.dump(summary, f, indent=1)
-    if svg:
-        write_roe_boxplot(reports, os.path.join(outdir, "roe_boxplot.svg"))
+    write_roe_boxplot([(r.method, roe) for r, roe in zip(reports, roes)],
+                      os.path.join(outdir, "roe_boxplot.svg"))
     return path
 
 
 def load_reports(path):
+    """Reports from an evaluate run's summary.json and the roe.csv beside it;
+    window distances keep the 6 significant digits roe.csv holds."""
+    roe_path = os.path.join(os.path.dirname(path), "roe.csv")
+    rows = {}
+    with open(roe_path) as f:
+        f.readline()
+        for line in f:
+            head, target, a, b, d, e3, ey = line.rstrip("\n").rsplit(",", 6)
+            method, sequence = head.split(",", 1)
+            rows.setdefault((method, sequence, target), []).append(
+                RoeSample(int(a), int(b), float(d), float(e3), float(ey)))
     with open(path) as f:
-        summary = json.load(f)
-    return [MetricsReport.from_dict(d) for d in summary["reports"]]
+        summaries = json.load(f)["summaries"]
+    reports = []
+    for s in summaries:
+        samples = {}
+        for d, stats in s["roe"].items():
+            got = rows.get((s["method"], s["sequence"], f"{float(d):g}"), [])
+            if len(got) != stats["count"]:
+                raise ValueError(f"{roe_path} does not match {path}")
+            samples[float(d)] = got
+        reports.append(MetricsReport(s["method"], s["sequence"], s["aoe_3d"],
+                                     s["aoe_yaw"], samples))
+    return reports
 
 
-def write_roe_boxplot(reports, path):
-    """Median/quartile boxes of the 3D ROE per distance bucket and method."""
+def write_roe_boxplot(roe_summaries, path):
+    """3D ROE median/quartile boxes from (method, roe_summary()) pairs."""
     groups = {}
-    for r in reports:
-        for dist, s in r.roe_summary().items():
-            groups.setdefault(dist, {}).setdefault(r.method, []).append(s)
+    for method, roe in roe_summaries:
+        for dist, s in roe.items():
+            groups.setdefault(dist, {}).setdefault(method, []).append(s)
     dists = sorted(groups)
-    methods = sorted({r.method for r in reports})
+    methods = sorted({method for method, _ in roe_summaries})
     width, height = 120 * max(1, len(dists) * len(methods)), 320
     top, bottom = 20, 40
     hi = max((s["p75_3d"] for g in groups.values()

@@ -66,6 +66,47 @@ def test_broadcast_add_grad():
                rng.normal(size=(3,)))
 
 
+def test_zero_input_forward_add_grad():
+    # the (B, 3, T) calibrated rates plus the (B, 3, 1) constant correction
+    # that the zero-input forward emits
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(2, 3, 5))
+    c = rng.normal(size=(2, 3, 1))
+    coef = rng.normal(size=(2, 3, 5))
+    check_grad(lambda t: ((t + ad.Tensor(c)) * coef).sum(), x)
+    check_grad(lambda t: ((ad.Tensor(x) + t) * coef).sum(), c)
+
+
+def test_broadcast_mul_grad():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 3, 5))
+    coef = rng.normal(size=(2, 3, 5))
+    check_grad(lambda t: (ad.mul(t, 2.5) * coef).sum(), x)
+    check_grad(lambda t: (ad.mul(ad.Tensor(x), t) * coef).sum(),
+               np.array(-0.7))
+    s = rng.normal(size=(2, 3, 1))
+    check_grad(lambda t: (ad.mul(t, ad.Tensor(s)) * coef).sum(), x)
+    check_grad(lambda t: (ad.mul(ad.Tensor(x), t) * coef).sum(), s)
+
+
+def test_channel_affine_grad():
+    rng = np.random.default_rng(13)
+    m = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
+    x = rng.normal(size=(2, 3, 5))
+    coef = rng.normal(size=(2, 3, 5))
+    check_grad(lambda t: (ad.channel_affine(t, ad.Tensor(x)) * coef).sum(), m)
+    check_grad(lambda t: (ad.channel_affine(ad.Tensor(m), t) * coef).sum(), x)
+
+
+def test_sum_and_mean_over_one_axis_grad():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(2, 3, 5))
+    for axis in range(3):
+        coef = rng.normal(size=np.delete(x.shape, axis))
+        check_grad(lambda t: (ad.tsum(t, axis) * coef).sum(), x)
+        check_grad(lambda t: (ad.tmean(t, axis) * coef).sum(), x)
+
+
 def test_matmul_grad():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2, 3, 3))

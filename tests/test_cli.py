@@ -165,8 +165,11 @@ def test_evaluate_and_report_roundtrip(tmp_path):
     regen = str(tmp_path / "regen")
     assert run("report", "--summary", os.path.join(rep, "summary.json"),
                "--out", regen) == 0
-    assert (open(os.path.join(regen, "aoe.csv")).read()
-            == open(os.path.join(rep, "aoe.csv")).read())
+    for name in ("aoe.csv", "roe.csv", "summary.json", "roe_boxplot.svg"):
+        with open(os.path.join(regen, name), "rb") as f:
+            regenerated = f.read()
+        with open(os.path.join(rep, name), "rb") as f:
+            assert regenerated == f.read(), name
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):
@@ -193,6 +196,14 @@ def test_unknown_loss_config_key_is_data_error(tmp_path, capsys):
     assert run("train", "--config", str(cfg), "--out",
                str(tmp_path / "run")) == cli.EXIT_DATA
     assert "unknown loss config key 'dt'" in capsys.readouterr().err
+
+
+def test_unknown_net_config_key_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(f"data_root = {tmp_path}\nsplit.s1 = train\nnet.dropuot = 0.2\n")
+    assert run("train", "--config", str(cfg), "--out",
+               str(tmp_path / "run")) == cli.EXIT_DATA
+    assert "unknown net config key 'dropuot'" in capsys.readouterr().err
 
 
 def test_config_file_split_workflow(tmp_path):

@@ -250,13 +250,9 @@ def test_parse_config_and_split(tmp_path):
     )
     cfg = data.parse_config(p)
     spec = data.SplitSpec.from_config(cfg)
-    assert spec.sequences("train") == ["MH_01"]
-    assert spec.sequences("test") == ["MH_02"]
-    assert spec.windows["MH_01"] == (0.0, 50.0)
     # roles are disjoint by construction: one role per sequence name
-    all_roles = (spec.sequences("train") + spec.sequences("val")
-                 + spec.sequences("test"))
-    assert len(all_roles) == len(set(all_roles))
+    assert spec.roles == {"MH_01": "train", "MH_02": "test", "V1_02": "val"}
+    assert spec.windows["MH_01"] == (0.0, 50.0)
 
 
 def test_parse_config_rejects_bad_lines(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -179,12 +181,40 @@ def test_run_baselines_ordering_and_roundtrip(tmp_path):
     assert by_method["proposed"].aoe_3d == pytest.approx(
         by_method["calibrated"].aoe_3d, rel=1e-9)
 
-    path = evaluator.write_reports(reports, tmp_path)
+    path = evaluator.write_reports(reports, tmp_path / "out")
+    with open(path) as f:
+        assert list(json.load(f)) == ["summaries"]
     loaded = evaluator.load_reports(path)
-    assert [r.to_dict() for r in loaded] == [r.to_dict() for r in reports]
-    assert (tmp_path / "aoe.csv").exists()
-    assert (tmp_path / "roe.csv").exists()
-    assert (tmp_path / "roe_boxplot.svg").read_text().startswith("<svg")
+    assert [(r.method, r.sequence, r.aoe_3d, r.aoe_yaw) for r in loaded] == [
+        (r.method, r.sequence, r.aoe_3d, r.aoe_yaw) for r in reports]
+    for got, want in zip(loaded, reports):
+        assert list(got.roe_samples) == list(want.roe_samples)
+        for dist, samples in want.roe_samples.items():
+            assert [(s.start, s.end, s.error_3d, s.error_yaw)
+                    for s in got.roe_samples[dist]] == [
+                (s.start, s.end, s.error_3d, s.error_yaw) for s in samples]
+            # roe.csv publishes the traveled distance at 6 digits
+            assert [s.distance for s in got.roe_samples[dist]] == [
+                float(f"{s.distance:.6g}") for s in samples]
+    evaluator.write_reports(loaded, tmp_path / "again")
+    for name in ("aoe.csv", "roe.csv", "summary.json", "roe_boxplot.svg"):
+        assert ((tmp_path / "again" / name).read_bytes()
+                == (tmp_path / "out" / name).read_bytes()), name
+    assert (tmp_path / "out" / "roe_boxplot.svg").read_text().startswith("<svg")
+
+
+def test_load_reports_rejects_roe_csv_that_does_not_match(tmp_path):
+    gt = straight_line_gt(4000)
+    seq = data.ImuSequence(gt.t, np.zeros((4000, 3)), np.zeros((4000, 3)))
+    reports = evaluator.run_baselines([("flat", seq, gt)], None,
+                                      distances=(7.0,), methods=("zero",))
+    path = evaluator.write_reports(reports, tmp_path)
+    roe_csv = tmp_path / "roe.csv"
+    lines = roe_csv.read_text().splitlines(keepends=True)
+    for bad in ("", "".join(lines[:-1])):
+        roe_csv.write_text(bad)
+        with pytest.raises(ValueError, match="does not match"):
+            evaluator.load_reports(path)
 
 
 def test_zero_motion_on_constant_attitude_scene():
