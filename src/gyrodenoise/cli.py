@@ -64,11 +64,27 @@ def _write_snapshot(outdir, args, extra=None):
 
 # -- dataset plumbing --------------------------------------------------------------
 
+CONFIG_KEYS = ("format", "data_root")
+CONFIG_PREFIXES = ("split.", "window.", "imu.", "gt.", "offset.", "train.",
+                   "loss.", "net.")
+
+
+def _check_config_keys(cfg):
+    """Reject any config key outside CONFIG_KEYS and CONFIG_PREFIXES; the
+    train.*, loss.* and net.* names are checked by their own readers."""
+    for key in cfg:
+        if key not in CONFIG_KEYS and not key.startswith(CONFIG_PREFIXES):
+            why = ": the sample period is measured" if key == "rate" else ""
+            raise data.ValidationError(f"unknown config key {key!r}{why}")
+
+
 def _sequence_paths(root, name, fmt):
     if fmt in ("euroc", "tumvi"):
         base = os.path.join(root, name, "mav0")
         return (os.path.join(base, "imu0", "data.csv"),
                 os.path.join(base, "state_groundtruth_estimate0", "data.csv"))
+    if fmt != "synth":
+        raise data.ValidationError(f"unknown format {fmt!r}")
     return (os.path.join(root, name, "imu.csv"),
             os.path.join(root, name, "gt.csv"))
 
@@ -76,20 +92,23 @@ def _sequence_paths(root, name, fmt):
 def _load_split(cfg):
     """Load every sequence named in a dataset config file.
 
-    Recognized keys: format, data_root, rate, split.NAME, window.NAME (s),
-    imu.NAME / gt.NAME path overrides, offset.NAME (gt clock offset, s).
+    Recognized keys: format (directory layout), data_root, split.NAME,
+    window.NAME (s), imu.NAME / gt.NAME path overrides, offset.NAME (gt
+    clock offset, s) and the fit commands' train.*, loss.*, net.*; any
+    other key is a ValidationError before data loads. The sample period
+    is each sequence's own, measured from its stamps.
     Returns {role: [(name, ImuSequence, aligned GroundTruth), ...]}.
     """
+    _check_config_keys(cfg)
     fmt = cfg.get("format", "synth")
     root = cfg.get("data_root", ".")
-    rate = float(cfg.get("rate", 200.0))
     spec = data.SplitSpec.from_config(cfg)
     out = {"train": [], "val": [], "test": []}
     for name, role in sorted(spec.roles.items()):
         imu_path, gt_path = _sequence_paths(root, name, fmt)
         imu_path = cfg.get(f"imu.{name}", imu_path)
         gt_path = cfg.get(f"gt.{name}", gt_path)
-        seq, gt = data.load_sequence(imu_path, gt_path, fmt, rate, name)
+        seq, gt = data.load_sequence(imu_path, gt_path, name)
         offset = float(cfg.get(f"offset.{name}", 0.0))
         t0 = seq.t[0]
         if role == "train+val":
@@ -122,7 +141,7 @@ def _load_dataset(args):
         return _load_split(data.parse_config(args.config))
     if not (getattr(args, "imu", None) and getattr(args, "gt", None)):
         raise data.ValidationError("provide --config or both --imu and --gt")
-    seq, gt = data.load_sequence(args.imu, args.gt, args.format, args.rate,
+    seq, gt = data.load_sequence(args.imu, args.gt,
                                  name=os.path.basename(args.imu))
     aligned = data.align_ground_truth(seq, gt)
     frac = getattr(args, "val_frac", 0.0) or 0.0
@@ -159,7 +178,7 @@ def _train_config(args, cfg=None, **defaults):
 
 def _loss_config(cfg=None):
     """LossConfig from config-file loss.* keys. The loss's sample period is
-    not a key: it is the data's, set by --rate or the config's `rate`."""
+    not a key: it is the data's, measured from the IMU timestamps."""
     fields = {}
     for key, val in (cfg or {}).items():
         if not key.startswith("loss."):
@@ -217,12 +236,10 @@ def _run_fit(args, zero_input, defaults):
     dataset = _load_dataset(args)
 
     start_epoch = 0
-    params = None
-    adam_state = None
     if args.resume:
         params, extra = network.load_checkpoint(args.resume)
         start_epoch = int(extra.get("epoch", 0))
-    if params is None:
+    else:
         params = network.ModelParams(network.NetConfig(dropout=dropout),
                                      seed=tcfg.seed)
 
@@ -231,8 +248,7 @@ def _run_fit(args, zero_input, defaults):
     val_pairs = [(s, g) for _, s, g in dataset["val"]]
     result = trainer.fit(train_pairs, val_pairs, params, tcfg, lcfg,
                          zero_input=zero_input, log_path=log_path,
-                         start_epoch=start_epoch, adam_state=adam_state,
-                         quiet=args.quiet)
+                         start_epoch=start_epoch, quiet=args.quiet)
     ckpt = os.path.join(outdir, "checkpoint.json")
     network.save_checkpoint(ckpt, result.best_params, extra={
         "epoch": result.best_epoch,
@@ -279,13 +295,21 @@ def cmd_calibrate(args):
     return _run_fit(args, zero_input=True, defaults=defaults)
 
 
+def _check_checkpoint_methods(extra, methods):
+    """`proposed` runs the network on the data; calibrate fits it on zeros."""
+    if extra.get("zero_input", False) and "proposed" in methods:
+        raise data.ValidationError(
+            "method 'proposed' needs a train checkpoint; this one was fit by "
+            "calibrate (zeroed network input): use method 'calibrated'")
+
+
 def cmd_integrate(args):
     params, extra = network.load_checkpoint(args.checkpoint)
-    seq, gt = data.load_sequence(args.imu, args.gt, args.format, args.rate)
+    _check_checkpoint_methods(extra, (args.method,))
+    seq, gt = data.load_sequence(args.imu, args.gt)
     aligned = data.align_ground_truth(seq, gt)
-    zero_input = args.method == "calibrated" or extra.get("zero_input", False)
-    est = network.integrate_corrected(params, seq, aligned.rot[0],
-                                      zero_input=zero_input)
+    est = network.integrate_corrected(
+        params, seq, aligned.rot[0], zero_input=args.method == "calibrated")
     out = _resolve_out(args.out)
     t_out = np.concatenate([seq.t, [2 * seq.t[-1] - seq.t[-2]]])
     data.write_gt_csv(out, t_out, est, np.zeros((len(est), 3)))
@@ -303,7 +327,8 @@ def cmd_evaluate(args):
     distances = tuple(float(d) for d in args.distances.split(","))
     params = None
     if args.checkpoint:
-        params, _ = network.load_checkpoint(args.checkpoint)
+        params, extra = network.load_checkpoint(args.checkpoint)
+        _check_checkpoint_methods(extra, methods)
     dataset = _load_dataset(args)
     sequences = dataset["test"] or dataset["train"]
     reports = evaluator.run_baselines(sequences, params, distances, methods)
@@ -330,9 +355,6 @@ def _add_dataset_flags(p, val_frac=None):
     p.add_argument("--config", help="dataset/split config file")
     p.add_argument("--imu", help="IMU CSV (single-sequence mode)")
     p.add_argument("--gt", help="ground-truth CSV (single-sequence mode)")
-    p.add_argument("--format", default="synth",
-                   choices=("synth", "euroc", "tumvi"))
-    p.add_argument("--rate", type=float, default=200.0)
     if val_frac is not None:
         p.add_argument("--val-frac", dest="val_frac", type=float,
                        default=val_frac)
@@ -389,9 +411,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--imu", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--format", default="synth",
-                   choices=("synth", "euroc", "tumvi"))
-    p.add_argument("--rate", type=float, default=200.0)
     p.add_argument("--method", default="proposed",
                    choices=("proposed", "calibrated"))
     p.add_argument("--out", default="attitude.csv")
@@ -425,10 +444,7 @@ def main(argv=None):
     except trainer.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (data.ValidationError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as err:
+    except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,12 +1,11 @@
 """Dataset ingestion, ground-truth alignment and ground-truth increments.
 
-Supported on-disk layouts:
-  synth   canonical CSV written by this package:
-            IMU:          t_ns,gx,gy,gz,ax,ay,az         (SI units)
-            ground truth: t_ns,px,py,pz,qw,qx,qy,qz
-  euroc   native EuRoC MAV csv (timestamp [ns], w_RS_S_*, a_RS_S_*);
-          ground truth rows are t, p(3), q(w,x,y,z), extra columns ignored
-  tumvi   same column layout as euroc (TUM-VI ships EuRoC-style csv)
+One CSV reader serves every supported recording:
+  IMU           t_ns, 3 gyro (rad/s), 3 accelerometer (m/s^2) columns: the
+                canonical file written by this package and the native
+                EuRoC MAV / TUM-VI imu0 csv (w_RS_S_*, a_RS_S_*)
+  ground truth  t_ns, p(3), q(w,x,y,z); extra columns (EuRoC) are ignored
+The sample period is measured from the IMU stamps, never configured.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ class ImuSequence:
     t: np.ndarray            # ns, strictly increasing
     gyro: np.ndarray         # (M, 3) rad/s
     acc: np.ndarray          # (M, 3) m/s^2
-    nominal_rate: float = 200.0
     name: str = ""
+    # sample period (s): the median of the exact int64 stamp differences
+    dt: float = field(init=False)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=np.int64)
@@ -36,28 +36,20 @@ class ImuSequence:
         self.acc = np.asarray(self.acc, dtype=float)
         if len(self.t) != len(self.gyro) or len(self.t) != len(self.acc):
             raise ValidationError("timestamp/channel length mismatch")
+        if len(self.t) < 2:
+            raise ValidationError("the sample period needs two IMU samples")
         dts = np.diff(self.t)
-        if len(dts) and np.any(dts <= 0):
+        if np.any(dts <= 0):
             i = int(np.nonzero(dts <= 0)[0][0])
             raise ValidationError(f"non-monotonic timestamps at row {i + 1}")
-        if len(dts):
-            med = float(np.median(dts)) * 1e-9
-            if abs(med - 1.0 / self.nominal_rate) > 0.05 / self.nominal_rate:
-                raise ValidationError(
-                    f"median sample period {med:.6f}s is more than 5% off "
-                    f"the nominal rate {self.nominal_rate} Hz"
-                )
-
-    @property
-    def dt(self):
-        return 1.0 / self.nominal_rate
+        self.dt = float(np.median(dts)) / 1e9
 
     def __len__(self):
         return len(self.t)
 
     def window(self, start, stop):
         return ImuSequence(self.t[start:stop], self.gyro[start:stop],
-                           self.acc[start:stop], self.nominal_rate, self.name)
+                           self.acc[start:stop], self.name)
 
 
 @dataclass
@@ -171,16 +163,13 @@ def _parse_stamp(s):
         return int(v) if np.isfinite(v) else None
 
 
-def load_sequence(imu_path, gt_path, fmt="synth", nominal_rate=200.0, name=""):
+def load_sequence(imu_path, gt_path, name=""):
     """Load one recording. Returns (ImuSequence, GroundTruth)."""
-    if fmt not in ("synth", "euroc", "tumvi"):
-        raise ValidationError(f"unknown format {fmt!r}")
     imu_t, imu_rows = _read_csv_rows(imu_path, 7)
     imu = ImuSequence(
         t=imu_t,
         gyro=imu_rows[:, 0:3],
         acc=imu_rows[:, 3:6],
-        nominal_rate=nominal_rate,
         name=name,
     )
     gt_t, gt_rows = _read_csv_rows(gt_path, 8)

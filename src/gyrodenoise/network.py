@@ -203,22 +203,17 @@ def forward(params: ModelParams, x, training=False, rng=None,
     return corrected
 
 
-def integrate_corrected(params: ModelParams, imu_seq, r0, dt=None,
-                        zero_input=False):
+def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False):
     """Open-loop attitude from corrected rates (eval mode, padded forward).
 
-    imu_seq is a data.ImuSequence (or a dict with gyro/acc arrays); returns
-    an (M+1, 3, 3) rotation stack starting at r0.
+    imu_seq is a data.ImuSequence, integrated over its measured sample
+    period; returns an (M+1, 3, 3) rotation stack starting at r0.
     """
-    gyro = np.asarray(imu_seq.gyro, dtype=float)
-    acc = np.asarray(imu_seq.acc, dtype=float)
-    if dt is None:
-        dt = imu_seq.dt
-    x = np.concatenate([gyro.T, acc.T], axis=0)[None]
+    x = np.concatenate([imu_seq.gyro.T, imu_seq.acc.T], axis=0)[None]
     with ad.no_grad():
         w_hat = forward(params, x, training=False, zero_input=zero_input,
                         pad=True).data[0].T
-    return so3.integrate_increments(r0, w_hat, dt)
+    return so3.integrate_increments(r0, w_hat, imu_seq.dt)
 
 
 # -- checkpoints -----------------------------------------------------------------

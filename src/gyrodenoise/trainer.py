@@ -19,6 +19,8 @@ from . import loss, network
 
 # training-time augmentation noise, 0.01 deg/s expressed in rad/s
 DEFAULT_AUGMENT_STD = 0.01 * np.pi / 180.0
+# ADAM moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -37,9 +39,6 @@ class TrainConfig:
     restart_period: int = 600
     restart_mult: float = 1.0
     weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     window_len: int = 1792
     windows_per_batch: int = 6
@@ -91,10 +90,10 @@ def _decays(name, n_layers):
 
 
 def adam_step(params: network.ModelParams, state: AdamState, lr,
-              weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+              weight_decay=0.0):
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     n_layers = params.config.n_layers
     for name, p in params.trainable():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -103,11 +102,11 @@ def adam_step(params: network.ModelParams, state: AdamState, lr,
             state.v[name] = np.zeros_like(p.data)
         if state.m[name].shape != p.data.shape:
             raise ValueError(f"optimizer state shape mismatch for {name!r}")
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
         mhat = state.m[name] / bc1
         vhat = state.v[name] / bc2
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         if weight_decay > 0 and _decays(name, n_layers):
             p.data = p.data - lr * weight_decay * p.data
 
@@ -242,8 +241,7 @@ def fit(train_data, val_data, params=None, train_cfg: TrainConfig = None,
                                         training=True, rng=rng,
                                         zero_input=zero_input)
                     out.backward()
-                    adam_step(params, state, lr, tcfg.weight_decay,
-                              tcfg.beta1, tcfg.beta2, tcfg.eps)
+                    adam_step(params, state, lr, tcfg.weight_decay)
                     losses.append(float(out.data))
             train_loss = float(np.mean(losses))
             if not np.isfinite(train_loss):

@@ -224,3 +224,137 @@ def test_config_file_split_workflow(tmp_path):
     assert run("train", "--config", str(cfg), "--out", outdir,
                "--quiet") == 0
     assert os.path.exists(os.path.join(outdir, "checkpoint.json"))
+
+
+# -- config keys -------------------------------------------------------------------
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("offest.s1 = 0.1", "unknown config key 'offest.s1'"),
+    ("rate = 200", "the sample period is measured"),
+    ("format = kitti", "unknown format 'kitti'"),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_unknown_config_key_is_data_error_before_loading(tmp_path, capsys,
+                                                         command, line,
+                                                         message):
+    # data_root holds no data: the key check must fail before any load
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text(f"data_root = {tmp_path}\nsplit.s1 = test\n{line}\n")
+    assert run(command, "--config", str(cfg), "--out",
+               str(tmp_path / "run")) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["euroc.cfg", "tumvi.cfg"])
+def test_shipped_configs_pass_the_key_checks(name):
+    path = os.path.join(CONFIGS, name)
+    cfg = data.parse_config(path)
+    cli._check_config_keys(cfg)
+    args = cli.build_parser().parse_args(["train", "--config", path])
+    cli._train_config(args, cfg)
+    cli._loss_config(cfg)
+    cli.tcfg_dropout(False, cfg)
+
+
+def test_adam_constants_are_not_train_config_keys():
+    args = cli.build_parser().parse_args(["train"])
+    for key in ("train.beta1", "train.beta2", "train.eps"):
+        with pytest.raises(data.ValidationError,
+                           match="unknown train config key"):
+            cli._train_config(args, {key: "0.5"})
+
+
+# -- sample period -----------------------------------------------------------------
+
+def test_evaluate_100hz_scene_needs_no_rate(tmp_path):
+    scene = str(tmp_path / "scene100")
+    assert run("synth", "--rate", "100", "--duration", "20", "--seed", "7",
+               "--out", scene) == 0
+    assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+               "--gt", os.path.join(scene, "gt.csv"),
+               "--methods", "raw,zero", "--distances", "7",
+               "--out", str(tmp_path / "rep")) == 0
+
+
+# -- checkpoints and methods -------------------------------------------------------
+
+def test_proposed_on_calibrate_checkpoint_is_data_error(tmp_path, capsys):
+    scene = synth_scene(tmp_path, duration=12.0, gyro_bias="0.02,0,0")
+    ckpt = str(tmp_path / "cal.json")
+    network.save_checkpoint(ckpt, network.ModelParams(),
+                            extra={"epoch": 1, "zero_input": True})
+    io = ["--imu", os.path.join(scene, "imu.csv"),
+          "--gt", os.path.join(scene, "gt.csv"), "--checkpoint", ckpt]
+    rep = ["--distances", "7", "--out", str(tmp_path / "rep")]
+    assert run("evaluate", *io, *rep) == cli.EXIT_DATA
+    assert "use method 'calibrated'" in capsys.readouterr().err
+    assert run("evaluate", *io, *rep, "--methods", "raw,calibrated,zero") == 0
+    out = ["--out", str(tmp_path / "att.csv")]
+    assert run("integrate", *io, *out) == cli.EXIT_DATA
+    assert "use method 'calibrated'" in capsys.readouterr().err
+    assert run("integrate", *io, *out, "--method", "calibrated") == 0
+
+
+def test_integrate_matches_estimate_attitudes(tmp_path):
+    from gyrodenoise import evaluator
+
+    scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,0,0")
+    outdir = str(tmp_path / "run")
+    assert run("train", *train_args(scene, outdir), "--epochs", "1") == 0
+    ckpt = os.path.join(outdir, "checkpoint.json")
+    params, _ = network.load_checkpoint(ckpt)
+    imu_path = os.path.join(scene, "imu.csv")
+    seq, gt = data.load_sequence(imu_path, os.path.join(scene, "gt.csv"))
+    aligned = data.align_ground_truth(seq, gt)
+    for method in ("proposed", "calibrated"):
+        att = str(tmp_path / f"{method}.csv")
+        assert run("integrate", "--checkpoint", ckpt, "--imu", imu_path,
+                   "--gt", os.path.join(scene, "gt.csv"),
+                   "--method", method, "--out", att) == 0
+        _, written = data.load_sequence(imu_path, att)
+        assert len(written) == len(seq) + 1
+        np.testing.assert_array_equal(written.t[:-1], seq.t)
+        want = evaluator.estimate_attitudes(method, seq, aligned, params)
+        np.testing.assert_allclose(written.rot[:-1], want, rtol=0, atol=1e-9)
+
+
+# -- docs --------------------------------------------------------------------------
+
+def readme_commands():
+    """Every `gyrodenoise ...` line in README.md code blocks, with its `\\`
+    continuation lines joined."""
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    commands, in_block, pending = [], False, None
+    for line in open(path).read().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            continue
+        if pending is not None:
+            pending += " " + line.strip()
+        elif in_block and line.startswith("gyrodenoise "):
+            pending = line.strip()
+        else:
+            continue
+        if pending.endswith("\\"):
+            pending = pending[:-1]
+        else:
+            commands.append(pending)
+            pending = None
+    return commands
+
+
+def test_readme_commands_parse():
+    import shlex
+
+    commands = readme_commands()
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+    assert {"synth", "calibrate", "train", "evaluate"} <= {
+        shlex.split(c)[1] for c in commands}

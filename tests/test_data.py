@@ -23,7 +23,7 @@ def test_synth_roundtrip(tmp_path):
     gt_path = tmp_path / "gt.csv"
     data.write_imu_csv(imu_path, scene["imu_t_ns"], scene["gyro"], scene["acc"])
     data.write_gt_csv(gt_path, scene["gt_t_ns"], scene["rot"], scene["pos"])
-    seq, gt = data.load_sequence(imu_path, gt_path, "synth")
+    seq, gt = data.load_sequence(imu_path, gt_path)
     np.testing.assert_array_equal(seq.t, scene["imu_t_ns"])
     np.testing.assert_allclose(seq.gyro, scene["gyro"], rtol=0, atol=0)
     np.testing.assert_allclose(seq.acc, scene["acc"], rtol=0, atol=0)
@@ -44,7 +44,7 @@ def test_euroc_layout_parses(tmp_path):
         + "\n".join(f"{k * 5_000_000},0,0,0,1,0,0,0,99" for k in range(401))
         + "\n"
     )
-    seq, gt = data.load_sequence(p, g, "euroc")
+    seq, gt = data.load_sequence(p, g)
     assert len(seq) == 400
     np.testing.assert_allclose(seq.gyro[0], [0.1, 0.2, 0.3])
     np.testing.assert_allclose(gt.rot[0], np.eye(3))
@@ -69,7 +69,7 @@ def test_nan_row_rejected_with_line_number(tmp_path):
     p.write_text("t_ns,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n"
                  "5000000,nan,0,0,0,0,0\n")
     with pytest.raises(data.ValidationError, match="line 3"):
-        data.load_sequence(p, p, "synth")
+        data.load_sequence(p, p)
 
 
 def test_out_of_range_timestamp_rejected_with_line_number(tmp_path):
@@ -77,14 +77,14 @@ def test_out_of_range_timestamp_rejected_with_line_number(tmp_path):
     p.write_text("t_ns,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n"
                  "1e300,0,0,0,0,0,0\n")
     with pytest.raises(data.ValidationError, match="line 3"):
-        data.load_sequence(p, p, "synth")
+        data.load_sequence(p, p)
 
 
 def test_malformed_csv_line_number(tmp_path):
     p = tmp_path / "imu.csv"
     p.write_text("t_ns,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n5000000,0,zz,0,0,0,0\n")
     with pytest.raises(data.ValidationError, match="line 3"):
-        data.load_sequence(p, p, "synth")
+        data.load_sequence(p, p)
 
 
 def test_non_monotonic_time_rejected():
@@ -93,11 +93,23 @@ def test_non_monotonic_time_rejected():
         data.ImuSequence(t, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
-def test_rate_mismatch_rejected():
-    t = (np.arange(100) * 7_000_000).astype(np.int64)  # ~143 Hz
-    with pytest.raises(data.ValidationError, match="nominal rate"):
-        data.ImuSequence(t, np.zeros((100, 3)), np.zeros((100, 3)),
-                         nominal_rate=200.0)
+def test_sample_period_is_the_median_stamp_spacing():
+    # 143 Hz stamps with three jittered samples: the period is the median
+    # spacing, in the whole sequence and in each window of it
+    t = np.arange(100, dtype=np.int64) * 7_000_000
+    t[[5, 40, 77]] += 2_000
+    seq = data.ImuSequence(t, np.zeros((100, 3)), np.zeros((100, 3)))
+    assert seq.dt == 0.007
+    assert seq.window(10, 13).dt == 0.007
+
+
+def test_fewer_than_two_samples_rejected():
+    for n in (0, 1):
+        with pytest.raises(data.ValidationError, match="two IMU samples"):
+            data.ImuSequence(np.arange(n), np.zeros((n, 3)), np.zeros((n, 3)))
+    seq = data.ImuSequence(np.arange(3), np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(data.ValidationError, match="two IMU samples"):
+        seq.window(2, 3)
 
 
 # -- alignment -------------------------------------------------------------------

@@ -160,8 +160,7 @@ def test_untrained_loss_uses_the_data_sample_period():
     # over the data's 0.01 s period
     spec = imu.SyntheticScene(duration=8.0, rate=100.0)
     scene = imu.generate_scene(spec, imu.CalibParams(), seed=0)
-    seq = data.ImuSequence(scene["imu_t_ns"], scene["gyro"], scene["acc"],
-                           nominal_rate=100.0)
+    seq = data.ImuSequence(scene["imu_t_ns"], scene["gyro"], scene["acc"])
     gt = data.align_ground_truth(seq, data.GroundTruth(
         scene["imu_t_ns"], scene["rot"][:-1], scene["pos"][:-1]))
     ncfg = network.NetConfig()
