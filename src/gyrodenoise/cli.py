@@ -364,8 +364,7 @@ def _add_train_flags(p):
     p.add_argument("--out", default="run")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--quiet", action="store_true")
-    for f, typ in (("epochs", int), ("lr0", float), ("lr_min", float),
-                   ("restart_period", int), ("restart_mult", float),
+    for f, typ in (("epochs", int), ("lr0", float), ("restart_period", int),
                    ("weight_decay", float), ("seed", int),
                    ("window_len", int), ("windows_per_batch", int),
                    ("val_every", int), ("augment_std", float)):

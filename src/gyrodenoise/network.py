@@ -160,9 +160,10 @@ def forward(params: ModelParams, x, training=False, rng=None,
     with T' = T - receptive_field, or T' = T when pad=True (left zero
     padding; the first receptive_field outputs then depend on the padding).
 
-    zero_input forces the network input to zeros, collapsing the model to
-    the 12-parameter static calibration (C_omega_hat plus a constant
-    correction).
+    zero_input forces the network input to zeros, so the correction is
+    constant in time: C_omega_hat plus the network's response to zeros.
+    That constant passes through every conv and batchnorm layer; in eval
+    mode it depends on the batchnorm running statistics too.
     """
     cfg = params.config
     rf = cfg.receptive_field

@@ -35,9 +35,7 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     epochs: int = 1800
     lr0: float = 0.01
-    lr_min: float = 0.0
     restart_period: int = 600
-    restart_mult: float = 1.0
     weight_decay: float = 0.1
     seed: int = 0
     window_len: int = 1792
@@ -56,17 +54,13 @@ class TrainConfig:
             raise ValueError("weight_decay and augment_std must be >= 0")
 
 
-def cosine_warm_restarts(step, period0, t_mult=1.0, lr0=0.01, lr_min=0.0):
-    """Learning rate at an integer step; resets to lr0 at period boundaries,
-    with each period scaled by t_mult after a restart."""
+def cosine_warm_restarts(step, period, lr0=0.01):
+    """Learning rate at an integer step: a cosine from lr0 down to 0 over
+    each period, resetting to lr0 at every period boundary."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    t = step
-    period = period0
-    while t >= period:
-        t -= period
-        period = max(1, int(round(period * t_mult)))
-    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + np.cos(np.pi * t / period))
+    t = step % period
+    return 0.5 * lr0 * (1.0 + np.cos(np.pi * t / period))
 
 
 class AdamState:
@@ -225,8 +219,7 @@ def fit(train_data, val_data, params=None, train_cfg: TrainConfig = None,
 
     try:
         for epoch in range(start_epoch, tcfg.epochs):
-            lr = cosine_warm_restarts(epoch, tcfg.restart_period,
-                                      tcfg.restart_mult, tcfg.lr0, tcfg.lr_min)
+            lr = cosine_warm_restarts(epoch, tcfg.restart_period, tcfg.lr0)
             losses = []
             for seq, gt in train_data:
                 starts = _epoch_starts(len(seq), t_win, stride, rng)
@@ -273,7 +266,8 @@ def fit(train_data, val_data, params=None, train_cfg: TrainConfig = None,
 def recovered_calibration(params: network.ModelParams):
     """Invert the zeroed-input model back to sensor-frame quantities.
 
-    The corrected rate in zeroed-input mode is w_hat = C_hat w_meas + c.
+    The corrected rate in zeroed-input mode is w_hat = C_hat w_meas + c,
+    with c the network's eval-mode response to a zero input.
     Undoing the measurement model w_meas = C w + b requires C_hat = inv(C)
     and c = -C_hat b, so the implied calibration is C = inv(C_hat) and the
     implied gyro bias is b = -inv(C_hat) c.

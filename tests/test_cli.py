@@ -261,10 +261,14 @@ def test_shipped_configs_pass_the_key_checks(name):
 
 def test_adam_constants_are_not_train_config_keys():
     args = cli.build_parser().parse_args(["train"])
-    for key in ("train.beta1", "train.beta2", "train.eps"):
+    for key in ("train.beta1", "train.beta2", "train.eps",
+                "train.restart_mult", "train.lr_min"):
         with pytest.raises(data.ValidationError,
                            match="unknown train config key"):
             cli._train_config(args, {key: "0.5"})
+    for flag in ("--restart-mult", "--lr-min"):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["train", flag, "0.5"])
 
 
 # -- sample period -----------------------------------------------------------------

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gyrodenoise import autodiff as ad
 from gyrodenoise import data, imu, network, so3
 
 
@@ -56,6 +57,38 @@ def test_zero_input_mode_is_constant_plus_linear():
     correction = out - params.c_omega.data @ gyro
     # the correction is constant in time
     assert np.max(np.abs(correction - correction[:, :1])) < 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="calibrate still runs the CNN on a zero input; the 12-parameter "
+           "static path waits for test 7 to pass on it (CHANGES.md FOUND)")
+def test_static_path_is_c_omega_plus_final_bias(monkeypatch):
+    rng = np.random.default_rng(7)
+    params = network.ModelParams(seed=3)
+    params.c_omega.data = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
+    params.conv_b[-1].data = rng.normal(size=3)
+    # running stats far from the zero-input activations' own statistics
+    for s in params.bn_state:
+        s.mean = rng.normal(size=s.mean.shape)
+        s.var = rng.uniform(1e-4, 1e-2, size=s.var.shape)
+        s.initialized = True
+
+    def no_cnn(*args, **kwargs):
+        raise AssertionError("the static path must not run the CNN")
+
+    monkeypatch.setattr(ad, "conv1d_dilated", no_cnn)
+    monkeypatch.setattr(ad, "batchnorm1d", no_cnn)
+    rf = params.config.receptive_field
+    x = rng.normal(size=(2, 6, rf + 30))
+    for training in (True, False):
+        out = network.forward(params, x, training=training,
+                              rng=np.random.default_rng(0),
+                              zero_input=True).data
+        linear = ad.channel_affine(params.c_omega,
+                                   ad.Tensor(x[:, :3, rf:])).data
+        np.testing.assert_array_equal(
+            out, linear + params.conv_b[-1].data[None, :, None])
 
 
 def test_receptive_field_probe():

@@ -8,31 +8,25 @@ from gyrodenoise import data, imu, loss, network, trainer
 # -- schedule ----------------------------------------------------------------------
 
 def test_schedule_starts_at_lr0():
-    assert trainer.cosine_warm_restarts(0, 600, 1.0, 0.01) == pytest.approx(0.01)
+    assert trainer.cosine_warm_restarts(0, 600, 0.01) == pytest.approx(0.01)
 
 
 def test_schedule_half_period():
-    lr = trainer.cosine_warm_restarts(300, 600, 1.0, 0.01, 0.0)
+    lr = trainer.cosine_warm_restarts(300, 600, 0.01)
     assert lr == pytest.approx(0.005)
 
 
 def test_schedule_restarts():
-    lr = trainer.cosine_warm_restarts(600, 600, 1.0, 0.01)
+    lr = trainer.cosine_warm_restarts(600, 600, 0.01)
     assert lr == pytest.approx(0.01)
-    lr = trainer.cosine_warm_restarts(1200, 600, 1.0, 0.01)
+    lr = trainer.cosine_warm_restarts(1200, 600, 0.01)
     assert lr == pytest.approx(0.01)
 
 
 def test_schedule_decreases_within_period():
-    lrs = [trainer.cosine_warm_restarts(s, 600, 1.0, 0.01) for s in range(600)]
+    lrs = [trainer.cosine_warm_restarts(s, 600, 0.01) for s in range(600)]
     assert all(a > b for a, b in zip(lrs, lrs[1:]))
     assert lrs[-1] < 1e-6
-
-
-def test_schedule_period_growth():
-    # t_mult=2: periods 100, 200; step 150 is halfway through the second
-    lr = trainer.cosine_warm_restarts(200, 100, 2.0, 0.01, 0.0)
-    assert lr == pytest.approx(0.005)
 
 
 # -- adam --------------------------------------------------------------------------
@@ -234,6 +228,34 @@ def test_calibration_recovery_zero_input():
     c_rec, b_rec = trainer.recovered_calibration(res.best_params)
     assert np.linalg.norm(c_rec - c_true) / np.linalg.norm(c_true) < 0.05
     assert np.linalg.norm(b_rec - bias[:3]) / np.linalg.norm(bias[:3]) < 0.1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="calibrate still runs the CNN on a zero input; the 12-parameter "
+           "static path waits for test 7 to pass on it (CHANGES.md FOUND)")
+def test_fit_zero_input_validation_keeps_falling():
+    # noise-free misaligned scene: the static model fits it exactly, so the
+    # eval-mode validation loss of a calibrate fit must fall with training
+    c_true = np.eye(3) + np.array([[0.00, 0.03, -0.02],
+                                   [-0.01, 0.02, 0.01],
+                                   [0.02, -0.01, -0.03]])
+    calib = imu.CalibParams(C_omega=c_true,
+                            bias=np.array([0.02, -0.015, 0.01, 0, 0, 0]))
+    seq, gt = make_dataset(duration=70.0, seed=5, calib=calib)
+
+    def cut(a, b):
+        return (seq.window(a, b),
+                data.GroundTruth(gt.t[a:b], gt.rot[a:b], gt.pos[a:b],
+                                 gt.gap_mask[a:b]))
+
+    params = network.ModelParams(network.NetConfig(dropout=0.0), seed=0)
+    tcfg = trainer.TrainConfig(epochs=50, restart_period=100, val_every=10,
+                               weight_decay=0.0, augment_std=0.0, seed=0)
+    res = trainer.fit([cut(0, 11_200)], [cut(11_200, 14_000)], params, tcfg,
+                      loss.LossConfig(), zero_input=True)
+    vals = [v for _, _, v, _ in res.history if v is not None]
+    assert res.best_epoch == 50, vals
 
 
 def test_overfit_small_snippet():
