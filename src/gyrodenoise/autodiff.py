@@ -7,7 +7,9 @@ exponential/logarithm nodes with closed-form differentials.
 
 Everything is float64. Tensors without requires_grad are treated as
 constants. Gradients accumulate across backward calls; callers zero them
-between optimization steps.
+between optimization steps. The convolution is one BLAS GEMM per kernel
+tap in each direction, so its bits, like everything downstream, depend on
+the BLAS thread count as well as on the inputs.
 
 Inside a `with no_grad():` block every op returns a constant Tensor: no
 parents and no backward closure, so nothing but the live outputs is kept in
@@ -191,7 +193,7 @@ def gelu(x):
     x = as_tensor(x)
     c = 0.7978845608
     a = 0.044715
-    u = c * (x.data + a * x.data**3)
+    u = c * (x.data + a * (x.data * x.data * x.data))
     t = np.tanh(u)
     out_data = 0.5 * x.data * (1.0 + t)
 
@@ -324,6 +326,10 @@ def conv1d_dilated(x, w, b, dilation=1):
     Output index t consumes inputs t, t+d, ..., t+(K-1)d of the valid
     segment, i.e. output length T' = T - (K-1) * dilation and output t
     corresponds to input timestamp t + (K-1) * dilation (past-only window).
+
+    Each of the K taps is one GEMM per direction: W_k @ x_k forward, and
+    g @ x_k.T for gw and W_k.T @ g for gx backward, where x_k is the input
+    segment starting at k * dilation.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -343,16 +349,16 @@ def conv1d_dilated(x, w, b, dilation=1):
     out_data = np.broadcast_to(b.data[None, :, None], (bsz, c_out, t_out)).copy()
     for kk in range(k):
         seg = x.data[:, :, kk * dilation: kk * dilation + t_out]
-        out_data += np.einsum("oc,bct->bot", w.data[:, :, kk], seg)
+        out_data += np.matmul(w.data[:, :, kk], seg)
 
     def backward(g):
         gx = np.zeros_like(x.data)
         gw = np.zeros_like(w.data)
         for kk in range(k):
             seg = x.data[:, :, kk * dilation: kk * dilation + t_out]
-            gw[:, :, kk] = np.einsum("bot,bct->oc", g, seg)
-            gx[:, :, kk * dilation: kk * dilation + t_out] += np.einsum(
-                "oc,bot->bct", w.data[:, :, kk], g
+            gw[:, :, kk] = np.tensordot(g, seg, axes=([0, 2], [0, 2]))
+            gx[:, :, kk * dilation: kk * dilation + t_out] += np.matmul(
+                w.data[:, :, kk].T, g
             )
         x._accumulate(gx)
         w._accumulate(gw)

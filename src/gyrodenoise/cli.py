@@ -50,7 +50,8 @@ def _vec(text, n, name):
 
 
 def _write_snapshot(outdir, args, extra=None):
-    """Record the resolved settings so the run can be reproduced exactly."""
+    """Record the resolved settings so the run can be reproduced exactly
+    on the same BLAS thread count."""
     lines = [f"command = {args.command}"]
     for key, val in sorted(vars(args).items()):
         if key in ("command", "func") or val is None:

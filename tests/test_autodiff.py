@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from gyrodenoise import autodiff as ad
-from gyrodenoise import so3
+from gyrodenoise import network, so3
 
 
 def finite_diff(f, x, h=1e-6):
@@ -129,6 +134,18 @@ def test_gelu_values():
     assert ad.gelu(ad.Tensor(6.0)).data.item() / 6.0 > 0.999
 
 
+def test_gelu_forward_matches_tanh_formula():
+    # the reference takes the cube with x**3; the error is relative to |x|,
+    # i.e. the error of the gate gelu(x)/x = (1 + tanh u)/2: elementwise
+    # relative to gelu(x) it reaches 1e-13 near x = -3.2, where 1 + tanh u
+    # cancels the same way in both forms
+    x = np.linspace(-8.0, 8.0, 16_001)
+    c, a = 0.7978845608, 0.044715
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + a * x**3)))
+    got = ad.gelu(ad.Tensor(x)).data
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(x))
+
+
 def test_gelu_grad():
     x = np.array([-3.0, -1.0, -0.1, 0.0, 0.1, 1.0, 3.0])
     check_grad(lambda t: ad.gelu(t).sum(), x, rel_tol=1e-5)
@@ -232,6 +249,72 @@ def test_conv1d_grads():
                           * coef).sum(), w)
     check_grad(lambda t: (ad.conv1d_dilated(ad.Tensor(x), ad.Tensor(w), t, 2)
                           * coef).sum(), b)
+
+
+def conv_einsum_reference(x, w, b, dilation, g):
+    """The per-tap einsum convolution that the GEMM form replaced: output
+    and the gradients gx, gw, gb for the upstream gradient g."""
+    bsz, _, t = x.shape
+    c_out, _, k = w.shape
+    t_out = t - (k - 1) * dilation
+    out = np.broadcast_to(b[None, :, None], (bsz, c_out, t_out)).copy()
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for kk in range(k):
+        seg = x[:, :, kk * dilation: kk * dilation + t_out]
+        out += np.einsum("oc,bct->bot", w[:, :, kk], seg)
+        gw[:, :, kk] = np.einsum("bot,bct->oc", g, seg)
+        gx[:, :, kk * dilation: kk * dilation + t_out] += np.einsum(
+            "oc,bot->bct", w[:, :, kk], g)
+    return out, gx, gw, g.sum(axis=(0, 2))
+
+
+def gemm_conv_max_rel_errors():
+    """Largest relative error of the conv output and of gx, gw, gb against
+    conv_einsum_reference, over the five default layers at the train shape
+    (B=6, T=1792) and the evaluate shape (B=1, 12,000 samples plus the
+    510-sample receptive field). Each error is max|new - ref| / max|ref|."""
+    cfg = network.NetConfig()
+    rng = np.random.default_rng(31)
+    worst = {"out": 0.0, "gx": 0.0, "gw": 0.0, "gb": 0.0}
+    for bsz, t in [(6, 1792), (1, 12_510)]:
+        for i, (k, d) in enumerate(zip(cfg.kernel_sizes, cfg.dilations)):
+            c_in, c_out = cfg.channels[i], cfg.channels[i + 1]
+            x = rng.normal(size=(bsz, c_in, t))
+            w = rng.uniform(-1.0, 1.0, size=(c_out, c_in, k)) / np.sqrt(c_in * k)
+            b = rng.uniform(-0.1, 0.1, size=c_out)
+            g = rng.normal(size=(bsz, c_out, t - (k - 1) * d))
+            xt, wt, bt = (ad.Tensor(a, requires_grad=True) for a in (x, w, b))
+            y = ad.conv1d_dilated(xt, wt, bt, d)
+            (y * g).sum().backward()
+            ref = conv_einsum_reference(x, w, b, d, g)
+            for name, new, old in zip(worst, (y.data, xt.grad, wt.grad, bt.grad),
+                                      ref):
+                err = np.max(np.abs(new - old)) / np.max(np.abs(old))
+                worst[name] = max(worst[name], float(err))
+            t -= (k - 1) * d
+    return worst
+
+
+def test_gemm_conv_matches_einsum_at_default_layer_shapes():
+    worst = gemm_conv_max_rel_errors()
+    assert max(worst.values()) <= 1e-12, worst
+
+
+def test_gemm_conv_matches_einsum_on_one_blas_thread():
+    # OpenBLAS splits a GEMM by thread count, so the bits move with it: at
+    # B=6 the forward outputs of the dilation-16 and dilation-64 layers
+    # differ between one and two threads
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
+            "import test_autodiff; "
+            "print(json.dumps(test_autodiff.gemm_conv_max_rel_errors()))")
+    proc = subprocess.run([sys.executable, "-c", code, src_dir, tests_dir],
+                          env=env, capture_output=True, text=True, check=True)
+    worst = json.loads(proc.stdout.splitlines()[-1])
+    assert max(worst.values()) <= 1e-12, worst
 
 
 # -- batchnorm -----------------------------------------------------------------
