@@ -9,7 +9,8 @@ Everything is float64. Tensors without requires_grad are treated as
 constants. Gradients accumulate across backward calls; callers zero them
 between optimization steps. The convolution is one BLAS GEMM per kernel
 tap in each direction, so its bits, like everything downstream, depend on
-the BLAS thread count as well as on the inputs.
+the BLAS thread count as well as on the inputs; `one_blas_thread()` pins
+that count to one, and the command line runs inside it.
 
 Inside a `with no_grad():` block every op returns a constant Tensor: no
 parents and no backward closure, so nothing but the live outputs is kept in
@@ -22,6 +23,8 @@ nest. Use it for forward passes that are only read through `.data`;
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 
 import numpy as np
 
@@ -133,6 +136,46 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_fns():
+    """(get, set) of the thread count of the OpenBLAS that numpy links, or
+    None when numpy links another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    # symbol lookup through numpy's extension also searches the libraries
+    # it links; the names differ between numpy's own and a system build
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's OpenBLAS on one thread inside the block and restore the
+    previous count on exit. The results then do not depend on the core
+    count, and a GEMM never waits on a second core that a shared host is
+    using elsewhere. With another BLAS the block runs unchanged."""
+    fns = _openblas_thread_fns()
+    if fns is None:
+        yield
+        return
+    get, put = fns
+    prev = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(prev)
 
 
 def as_tensor(x):

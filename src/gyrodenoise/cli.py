@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import data, evaluator, imu, loss, network, trainer
+from . import autodiff, data, evaluator, imu, loss, network, trainer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,8 +50,7 @@ def _vec(text, n, name):
 
 
 def _write_snapshot(outdir, args, extra=None):
-    """Record the resolved settings so the run can be reproduced exactly
-    on the same BLAS thread count."""
+    """Record the resolved settings so the run can be reproduced exactly."""
     lines = [f"command = {args.command}"]
     for key, val in sorted(vars(args).items()):
         if key in ("command", "func") or val is None:
@@ -440,7 +439,8 @@ def main(argv=None):
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
-        return args.func(args)
+        with autodiff.one_blas_thread():
+            return args.func(args)
     except trainer.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED

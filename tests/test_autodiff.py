@@ -301,6 +301,19 @@ def test_gemm_conv_matches_einsum_at_default_layer_shapes():
     assert max(worst.values()) <= 1e-12, worst
 
 
+def test_one_blas_thread_pins_the_count_and_restores_it():
+    fns = ad._openblas_thread_fns()
+    if fns is None:
+        pytest.skip("numpy does not link OpenBLAS")
+    get, _ = fns
+    before = get()
+    with pytest.raises(RuntimeError):
+        with ad.one_blas_thread():
+            assert get() == 1
+            raise RuntimeError
+    assert get() == before
+
+
 def test_gemm_conv_matches_einsum_on_one_blas_thread():
     # OpenBLAS splits a GEMM by thread count, so the bits move with it: at
     # B=6 the forward outputs of the dilation-16 and dilation-64 layers

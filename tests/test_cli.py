@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gyrodenoise import cli, data, network
+from gyrodenoise import autodiff, cli, data, network
 
 
 def run(*argv):
@@ -362,3 +362,14 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {command}")
     assert {"synth", "calibrate", "train", "evaluate"} <= {
         shlex.split(c)[1] for c in commands}
+
+
+def test_commands_run_on_one_blas_thread(monkeypatch):
+    fns = autodiff._openblas_thread_fns()
+    if fns is None:
+        pytest.skip("numpy does not link OpenBLAS")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report",
+                        lambda args: seen.append(fns[0]()) or cli.EXIT_OK)
+    assert cli.main(["report", "--summary", "unused.json"]) == cli.EXIT_OK
+    assert seen == [1]
