@@ -19,6 +19,7 @@ relative output paths so batch runs can redirect everything at once.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -64,18 +65,43 @@ def _write_snapshot(outdir, args, extra=None):
 
 # -- dataset plumbing --------------------------------------------------------------
 
-CONFIG_KEYS = ("format", "data_root")
-CONFIG_PREFIXES = ("split.", "window.", "imu.", "gt.", "offset.", "train.",
-                   "loss.", "net.")
+# each TrainConfig field's value type, for its train.* config key and its flag
+TRAIN_FIELDS = {f.name: type(f.default)
+                for f in dataclasses.fields(trainer.TrainConfig)}
 
 
-def _check_config_keys(cfg):
-    """Reject any config key outside CONFIG_KEYS and CONFIG_PREFIXES; the
-    train.*, loss.* and net.* names are checked by their own readers."""
-    for key in cfg:
-        if key not in CONFIG_KEYS and not key.startswith(CONFIG_PREFIXES):
+def _read_config(path):
+    """Parse a dataset config file and check every key before data loads.
+
+    Keys: format (euroc, tumvi or synth), data_root, split.NAME (train,
+    val, test or train+val), window.NAME (start, end in s from the first
+    stamp), imu.NAME / gt.NAME path overrides, offset.NAME (ground-truth
+    clock offset, s), train.<TrainConfig field>, loss.js, loss.huber_delta
+    and net.dropout. Any other key, a per-sequence key whose NAME has no
+    split. key, or an unknown role is a ValidationError. Returns the flat
+    dict.
+    """
+    cfg = data.parse_config(path)
+    names = {key[len("split."):] for key in cfg if key.startswith("split.")}
+    members = {"train": TRAIN_FIELDS, "loss": ("js", "huber_delta"),
+               "net": ("dropout",)}
+    for key, val in cfg.items():
+        group, _, member = key.partition(".")
+        if group in ("split", "window", "imu", "gt", "offset") and member:
+            if member not in names:
+                raise data.ValidationError(
+                    f"config key {key!r} names no split sequence")
+            if group == "split" and val not in ("train", "val", "test",
+                                                "train+val"):
+                raise data.ValidationError(f"unknown split role {val!r}")
+        elif group in members and member:
+            if member not in members[group]:
+                raise data.ValidationError(
+                    f"unknown {group} config key {member!r}")
+        elif key not in ("format", "data_root"):
             why = ": the sample period is measured" if key == "rate" else ""
             raise data.ValidationError(f"unknown config key {key!r}{why}")
+    return cfg
 
 
 def _sequence_paths(root, name, fmt):
@@ -89,57 +115,65 @@ def _sequence_paths(root, name, fmt):
             os.path.join(root, name, "gt.csv"))
 
 
-def _load_split(cfg):
-    """Load every sequence named in a dataset config file.
+def _part(label, part, seq, aligned, start, stop):
+    """Samples [start, stop) of a recording and of its aligned ground truth,
+    as a (label, ImuSequence, GroundTruth) triple."""
+    if stop - start < 2:
+        raise data.ValidationError(
+            f"sequence {seq.name!r}: the {part} part holds "
+            f"{max(stop - start, 0)} IMU samples; it needs at least two")
+    if aligned.gap_mask[start:stop].all():
+        raise data.ValidationError(
+            f"sequence {seq.name!r}: no ground truth covers the {part} part")
+    return (label, seq.window(start, stop), aligned.window(start, stop))
 
-    Recognized keys: format (directory layout), data_root, split.NAME,
-    window.NAME (s), imu.NAME / gt.NAME path overrides, offset.NAME (gt
-    clock offset, s) and the fit commands' train.*, loss.*, net.*; any
-    other key is a ValidationError before data loads. The sample period
-    is each sequence's own, measured from its stamps.
+
+def _load_split(cfg):
+    """Load every split.NAME sequence of a config from _read_config.
+
+    Each recording is aligned to its ground truth once, and every part is
+    an index slice of it. A train+val sequence trains on its window
+    (default 0, 50 s) and validates on what follows; any other role takes
+    its window, or the whole recording. The sample period is each
+    sequence's own, measured from its stamps.
     Returns {role: [(name, ImuSequence, aligned GroundTruth), ...]}.
     """
-    _check_config_keys(cfg)
     fmt = cfg.get("format", "synth")
     root = cfg.get("data_root", ".")
-    spec = data.SplitSpec.from_config(cfg)
     out = {"train": [], "val": [], "test": []}
-    for name, role in sorted(spec.roles.items()):
+    for key, role in sorted(cfg.items()):
+        if not key.startswith("split."):
+            continue
+        name = key[len("split."):]
         imu_path, gt_path = _sequence_paths(root, name, fmt)
-        imu_path = cfg.get(f"imu.{name}", imu_path)
-        gt_path = cfg.get(f"gt.{name}", gt_path)
-        seq, gt = data.load_sequence(imu_path, gt_path, name)
-        offset = float(cfg.get(f"offset.{name}", 0.0))
-        t0 = seq.t[0]
+        seq, gt = data.load_sequence(cfg.get(f"imu.{name}", imu_path),
+                                     cfg.get(f"gt.{name}", gt_path), name)
+        aligned = data.align_ground_truth(
+            seq, gt, offset_s=float(cfg.get(f"offset.{name}", 0.0)))
+        window = cfg.get(f"window.{name}",
+                         "0, 50" if role == "train+val" else "0, inf")
+        lo, hi = (float(x) * 1e9 for x in window.split(","))
+        rel = seq.t - seq.t[0]
+        start = int(np.searchsorted(rel, lo))
+        stop = int(np.searchsorted(rel, hi, side="right"))
         if role == "train+val":
-            # leading window to train, remainder to val
-            lo, hi = spec.windows.get(name, (0.0, 50.0))
-            cut = int(np.searchsorted(seq.t, t0 + hi * 1e9, side="right"))
-            lo_i = int(np.searchsorted(seq.t, t0 + lo * 1e9))
-            parts = (("train", seq.window(lo_i, cut)),
-                     ("val", seq.window(cut, len(seq))))
+            out["train"].append(_part(name, "train", seq, aligned, start, stop))
+            out["val"].append(_part(name, "val", seq, aligned, stop, len(seq)))
         else:
-            if name in spec.windows:
-                lo, hi = spec.windows[name]
-                keep = ((seq.t - t0) >= lo * 1e9) & ((seq.t - t0) <= hi * 1e9)
-                idx = np.nonzero(keep)[0]
-                seq = seq.window(int(idx[0]), int(idx[-1]) + 1)
-            parts = ((role, seq),)
-        for part_role, part_seq in parts:
-            aligned = data.align_ground_truth(part_seq, gt, offset_s=offset)
-            out[part_role].append((name, part_seq, aligned))
+            out[role].append(_part(name, role, seq, aligned, start, stop))
     return out
 
 
-def _load_dataset(args):
-    """Dataset from either --config or a single --imu/--gt pair.
+def _load_dataset(args, cfg):
+    """Dataset from either --config (cfg, from _read_config) or a single
+    --imu/--gt pair.
 
     The single-sequence form splits the recording in time: the leading
     (1 - val_frac) goes to train, the rest to val; evaluate uses it whole.
     """
-    if getattr(args, "config", None):
-        return _load_split(data.parse_config(args.config))
-    if not (getattr(args, "imu", None) and getattr(args, "gt", None)):
+    if args.config:
+        return _load_split(cfg)
+    if not (args.imu and args.gt):
         raise data.ValidationError("provide --config or both --imu and --gt")
     seq, gt = data.load_sequence(args.imu, args.gt,
                                  name=os.path.basename(args.imu))
@@ -149,47 +183,30 @@ def _load_dataset(args):
         triple = ("seq", seq, aligned)
         return {"train": [triple], "val": [], "test": [triple]}
     cut = int(len(seq) * (1.0 - frac))
-    head = ("seq-train", seq.window(0, cut),
-            data.GroundTruth(aligned.t[:cut], aligned.rot[:cut],
-                             aligned.pos[:cut], aligned.gap_mask[:cut]))
-    tail = ("seq-val", seq.window(cut, len(seq)),
-            data.GroundTruth(aligned.t[cut:], aligned.rot[cut:],
-                             aligned.pos[cut:], aligned.gap_mask[cut:]))
+    head = _part("seq-train", "train", seq, aligned, 0, cut)
+    tail = _part("seq-val", "val", seq, aligned, cut, len(seq))
     return {"train": [head], "val": [tail], "test": [tail]}
 
 
-def _train_config(args, cfg=None, **defaults):
+def _train_config(args, cfg, **defaults):
     """TrainConfig from defaults, config-file train.* keys, then flags."""
     fields = dict(defaults)
-    casts = {f: type(getattr(trainer.TrainConfig(), f))
-             for f in trainer.TrainConfig.__dataclass_fields__}
-    for key, val in (cfg or {}).items():
-        if key.startswith("train."):
-            f = key[len("train."):]
-            if f not in casts:
-                raise data.ValidationError(f"unknown train config key {f!r}")
-            fields[f] = casts[f](val)
-    for f in casts:
-        flag = getattr(args, f, None)
-        if flag is not None:
-            fields[f] = flag
+    for f, typ in TRAIN_FIELDS.items():
+        if f"train.{f}" in cfg:
+            fields[f] = typ(cfg[f"train.{f}"])
+        if getattr(args, f) is not None:
+            fields[f] = getattr(args, f)
     return trainer.TrainConfig(**fields)
 
 
-def _loss_config(cfg=None):
+def _loss_config(cfg):
     """LossConfig from config-file loss.* keys. The loss's sample period is
     not a key: it is the data's, measured from the IMU timestamps."""
     fields = {}
-    for key, val in (cfg or {}).items():
-        if not key.startswith("loss."):
-            continue
-        f = key[len("loss."):]
-        if f == "js":
-            fields["js"] = tuple(int(x) for x in val.split(","))
-        elif f == "huber_delta":
-            fields["huber_delta"] = float(val)
-        else:
-            raise data.ValidationError(f"unknown loss config key {f!r}")
+    if "loss.js" in cfg:
+        fields["js"] = tuple(int(x) for x in cfg["loss.js"].split(","))
+    if "loss.huber_delta" in cfg:
+        fields["huber_delta"] = float(cfg["loss.huber_delta"])
     return loss.LossConfig(**fields)
 
 
@@ -229,11 +246,13 @@ def cmd_synth(args):
 def _run_fit(args, zero_input, defaults):
     outdir = _resolve_out(args.out)
     os.makedirs(outdir, exist_ok=True)
-    cfg = data.parse_config(args.config) if args.config else {}
+    cfg = _read_config(args.config) if args.config else {}
     tcfg = _train_config(args, cfg, **defaults)
     lcfg = _loss_config(cfg)
-    dropout = tcfg_dropout(zero_input, cfg)
-    dataset = _load_dataset(args)
+    # off in zeroed-input mode: the correction is a constant, and dropout
+    # would only add gradient noise
+    dropout = 0.0 if zero_input else float(cfg.get("net.dropout", 0.1))
+    dataset = _load_dataset(args, cfg)
 
     start_epoch = 0
     if args.resume:
@@ -270,18 +289,6 @@ def _run_fit(args, zero_input, defaults):
     print(f"best validation loss {result.best_val:.6g} at epoch "
           f"{result.best_epoch}; checkpoint written to {ckpt}")
     return EXIT_OK
-
-
-def tcfg_dropout(zero_input, cfg):
-    """Dropout for the model: off in zeroed-input mode (the correction is a
-    constant, dropout would only add gradient noise). `net.dropout` is the
-    only net.* config key; any other is a ValidationError."""
-    for key in cfg:
-        if key.startswith("net.") and key != "net.dropout":
-            raise data.ValidationError(f"unknown net config key {key[4:]!r}")
-    if zero_input:
-        return 0.0
-    return float(cfg.get("net.dropout", 0.1))
 
 
 def cmd_train(args):
@@ -325,11 +332,12 @@ def cmd_evaluate(args):
         if m not in evaluator.METHODS:
             raise data.ValidationError(f"unknown method {m!r}")
     distances = tuple(float(d) for d in args.distances.split(","))
+    cfg = _read_config(args.config) if args.config else {}
     params = None
     if args.checkpoint:
         params, extra = network.load_checkpoint(args.checkpoint)
         _check_checkpoint_methods(extra, methods)
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, cfg)
     sequences = dataset["test"] or dataset["train"]
     reports = evaluator.run_baselines(sequences, params, distances, methods)
     path = evaluator.write_reports(reports, outdir)
@@ -364,10 +372,7 @@ def _add_train_flags(p):
     p.add_argument("--out", default="run")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--quiet", action="store_true")
-    for f, typ in (("epochs", int), ("lr0", float), ("restart_period", int),
-                   ("weight_decay", float), ("seed", int),
-                   ("window_len", int), ("windows_per_batch", int),
-                   ("val_every", int), ("augment_std", float)):
+    for f, typ in TRAIN_FIELDS.items():
         p.add_argument(f"--{f.replace('_', '-')}", dest=f, type=typ,
                        default=None)
 

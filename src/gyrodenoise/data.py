@@ -70,29 +70,9 @@ class GroundTruth:
     def __len__(self):
         return len(self.t)
 
-
-@dataclass
-class SplitSpec:
-    """Per-sequence role assignment with optional time windows (seconds)."""
-
-    roles: dict = field(default_factory=dict)      # name -> role string
-    windows: dict = field(default_factory=dict)    # name -> (start_s, end_s)
-
-    @classmethod
-    def from_config(cls, cfg: dict):
-        spec = cls()
-        for key, val in cfg.items():
-            if key.startswith("split."):
-                name = key[len("split."):]
-                role = val.strip()
-                if role not in ("train", "val", "test", "train+val"):
-                    raise ValidationError(f"unknown split role {role!r}")
-                spec.roles[name] = role
-            elif key.startswith("window."):
-                name = key[len("window."):]
-                lo, hi = (float(x) for x in val.split(","))
-                spec.windows[name] = (lo, hi)
-        return spec
+    def window(self, start, stop):
+        return GroundTruth(self.t[start:stop], self.rot[start:stop],
+                           self.pos[start:stop], self.gap_mask[start:stop])
 
 
 # -- parsing -------------------------------------------------------------------

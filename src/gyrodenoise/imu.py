@@ -59,16 +59,6 @@ class CalibParams:
             "noise_color": self.noise_color,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            C_omega=np.array(d["C_omega"]),
-            C_acc=np.array(d["C_acc"]),
-            bias=np.array(d["bias"]),
-            noise_std=np.array(d["noise_std"]),
-            noise_color=d.get("noise_color", 0.0),
-        )
-
 
 @dataclass
 class SyntheticScene:

@@ -11,6 +11,11 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def read(*path):
+    with open(os.path.join(*path)) as f:
+        return f.read()
+
+
 def synth_scene(tmp_path, name="scene", duration=12.0, seed=7, **extra):
     out = str(tmp_path / name)
     argv = ["synth", "--duration", str(duration), "--rate", "200",
@@ -25,7 +30,7 @@ def synth_scene(tmp_path, name="scene", duration=12.0, seed=7, **extra):
 
 def test_synth_row_count(tmp_path):
     out = synth_scene(tmp_path, duration=60.0)
-    rows = open(os.path.join(out, "imu.csv")).read().strip().splitlines()
+    rows = read(out, "imu.csv").strip().splitlines()
     assert len(rows) == 12_001  # header + 12,000 samples
     assert os.path.exists(os.path.join(out, "calib.json"))
     assert os.path.exists(os.path.join(out, "config_snapshot.cfg"))
@@ -35,8 +40,7 @@ def test_synth_is_deterministic(tmp_path):
     a = synth_scene(tmp_path, name="a", duration=2.0, gyro_bias="0.01,0,0")
     b = synth_scene(tmp_path, name="b", duration=2.0, gyro_bias="0.01,0,0")
     for fname in ("imu.csv", "gt.csv", "calib.json"):
-        assert (open(os.path.join(a, fname)).read()
-                == open(os.path.join(b, fname)).read())
+        assert read(a, fname) == read(b, fname)
 
 
 def test_synth_zero_rate_is_data_error(tmp_path):
@@ -47,7 +51,7 @@ def test_synth_zero_rate_is_data_error(tmp_path):
 def test_synth_records_injected_calibration(tmp_path):
     out = synth_scene(tmp_path, duration=2.0, misalign=0.03,
                       gyro_bias="0.01,-0.02,0.005")
-    calib = json.load(open(os.path.join(out, "calib.json")))
+    calib = json.loads(read(out, "calib.json"))
     assert np.max(np.abs(np.array(calib["C_omega"]) - np.eye(3))) <= 0.03
     assert calib["bias"][:3] == [0.01, -0.02, 0.005]
 
@@ -93,7 +97,7 @@ def test_train_smoke_writes_checkpoint_and_log(tmp_path):
     outdir = str(tmp_path / "run")
     assert run("train", *train_args(scene, outdir), "--epochs", "2") == 0
     assert os.path.exists(os.path.join(outdir, "checkpoint.json"))
-    lines = open(os.path.join(outdir, "metrics.csv")).read().strip().splitlines()
+    lines = read(outdir, "metrics.csv").strip().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,lr"
     assert [int(l.split(",")[0]) for l in lines[1:]] == [1, 2]
 
@@ -104,7 +108,7 @@ def test_train_resume_continues_log_without_gaps(tmp_path):
     assert run("train", *train_args(scene, outdir), "--epochs", "2") == 0
     assert run("train", *train_args(scene, outdir), "--epochs", "4",
                "--resume", os.path.join(outdir, "checkpoint_last.json")) == 0
-    lines = open(os.path.join(outdir, "metrics.csv")).read().strip().splitlines()
+    lines = read(outdir, "metrics.csv").strip().splitlines()
     epochs = [int(l.split(",")[0]) for l in lines[1:]]
     assert epochs == [1, 2, 3, 4]
 
@@ -114,7 +118,7 @@ def test_calibrate_writes_recovered_calibration(tmp_path):
     outdir = str(tmp_path / "cal")
     assert run("calibrate", *train_args(scene, outdir), "--epochs", "30",
                "--restart-period", "30") == 0
-    cal = json.load(open(os.path.join(outdir, "calibration.json")))
+    cal = json.loads(read(outdir, "calibration.json"))
     assert np.array(cal["C_omega"]).shape == (3, 3)
     assert len(cal["gyro_bias"]) == 3
 
@@ -143,11 +147,11 @@ def test_train_is_reproducible(tmp_path):
     for name in ("r1", "r2"):
         assert run("train", *train_args(scene, str(tmp_path / name)),
                    "--epochs", "2", "--seed", "5") == 0
-    m1 = open(tmp_path / "r1" / "metrics.csv").read()
-    m2 = open(tmp_path / "r2" / "metrics.csv").read()
+    m1 = read(tmp_path, "r1", "metrics.csv")
+    m2 = read(tmp_path, "r2", "metrics.csv")
     assert m1 == m2
-    c1 = open(tmp_path / "r1" / "checkpoint.json").read()
-    c2 = open(tmp_path / "r2" / "checkpoint.json").read()
+    c1 = read(tmp_path, "r1", "checkpoint.json")
+    c2 = read(tmp_path, "r2", "checkpoint.json")
     assert c1 == c2
 
 
@@ -160,7 +164,7 @@ def test_evaluate_and_report_roundtrip(tmp_path):
                "--gt", os.path.join(scene, "gt.csv"),
                "--methods", "raw,zero", "--distances", "7,21",
                "--out", rep) == 0
-    aoe_rows = open(os.path.join(rep, "aoe.csv")).read().strip().splitlines()
+    aoe_rows = read(rep, "aoe.csv").strip().splitlines()
     assert len(aoe_rows) == 3  # header + 2 methods
     regen = str(tmp_path / "regen")
     assert run("report", "--summary", os.path.join(rep, "summary.json"),
@@ -180,14 +184,21 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "envscene" / "imu.csv").exists()
 
 
-def test_loss_config_keys():
-    lcfg = cli._loss_config({"loss.js": "8,16", "loss.huber_delta": "0.01",
-                             "train.epochs": "3"})
+def write_config(tmp_path, text, name="split.cfg"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_loss_config_keys(tmp_path):
+    cfg = cli._read_config(write_config(
+        tmp_path, "loss.js = 8,16\nloss.huber_delta = 0.01\ntrain.epochs = 3\n"))
+    lcfg = cli._loss_config(cfg)
     assert lcfg.js == (8, 16) and lcfg.huber_delta == 0.01
     # the sample period is the data's, never a loss key
     for key in ("loss.dt", "loss.window"):
         with pytest.raises(data.ValidationError, match="unknown loss config"):
-            cli._loss_config({key: "0.005"})
+            cli._read_config(write_config(tmp_path, f"{key} = 0.005\n"))
 
 
 def test_unknown_loss_config_key_is_data_error(tmp_path, capsys):
@@ -226,6 +237,85 @@ def test_config_file_split_workflow(tmp_path):
     assert os.path.exists(os.path.join(outdir, "checkpoint.json"))
 
 
+# -- config splits -----------------------------------------------------------------
+
+def test_split_layout_of_the_shipped_configs(tmp_path):
+    # configs/euroc.cfg's layout on three 30 s, 200 Hz scenes: two windowed
+    # train+val sequences and one windowed test sequence with a clock offset
+    for name, seed in (("a", 1), ("b", 2), ("c", 3)):
+        synth_scene(tmp_path, name=name, duration=30.0, seed=seed)
+    path = write_config(tmp_path, (
+        f"format = synth\ndata_root = {tmp_path}\n"
+        "split.a = train+val\nwindow.a = 0, 20\n"
+        "split.b = train+val\nwindow.b = 2.5, 20\n"
+        "split.c = test\nwindow.c = 3, 27.125\noffset.c = 0.0125\n"))
+    dataset = cli._load_split(cli._read_config(path))
+    # (role, name): (samples, first stamp, last stamp), stamps in ns
+    want = {("train", "a"): (4001, 0, 20_000_000_000),
+            ("train", "b"): (3501, 2_500_000_000, 20_000_000_000),
+            ("val", "a"): (1999, 20_005_000_000, 29_995_000_000),
+            ("val", "b"): (1999, 20_005_000_000, 29_995_000_000),
+            ("test", "c"): (4826, 3_000_000_000, 27_125_000_000)}
+    got = {(role, name): (len(seq), seq.t[0], seq.t[-1])
+           for role, parts in dataset.items() for name, seq, _ in parts}
+    assert got == want
+    for role, parts in dataset.items():
+        for name, seq, gt in parts:
+            whole, whole_gt = data.load_sequence(
+                os.path.join(tmp_path, name, "imu.csv"),
+                os.path.join(tmp_path, name, "gt.csv"), name)
+            whole_gt = data.align_ground_truth(
+                whole, whole_gt, offset_s=0.0125 if name == "c" else 0.0)
+            start = int(np.searchsorted(whole.t, seq.t[0]))
+            stop = start + len(seq)
+            pairs = [(getattr(seq, f), getattr(whole, f))
+                     for f in ("t", "gyro", "acc")]
+            pairs += [(getattr(gt, f), getattr(whole_gt, f))
+                      for f in ("t", "rot", "pos", "gap_mask")]
+            for part, full in pairs:
+                np.testing.assert_array_equal(part, full[start:stop])
+
+
+@pytest.mark.parametrize("command, role, window, part", [
+    ("evaluate", "test", "window.s1 = 100, 200\n", "test"),
+    ("train", "train+val", "", "val"),  # a 30 s recording, 50 s to train
+])
+def test_split_part_under_two_samples_is_data_error(tmp_path, capsys, command,
+                                                    role, window, part):
+    synth_scene(tmp_path, name="s1", duration=30.0)
+    path = write_config(
+        tmp_path, f"data_root = {tmp_path}\nsplit.s1 = {role}\n{window}")
+    assert run(command, "--config", path,
+               "--out", str(tmp_path / "run")) == cli.EXIT_DATA
+    assert f"sequence 's1': the {part} part holds 0" in capsys.readouterr().err
+
+
+def test_split_part_without_ground_truth_is_data_error(tmp_path, capsys):
+    # the ground-truth clock runs 20 s late: nothing covers the first 10 s
+    synth_scene(tmp_path, name="s1", duration=30.0)
+    path = write_config(tmp_path, (f"data_root = {tmp_path}\nsplit.s1 = test\n"
+                                   "window.s1 = 0, 10\noffset.s1 = 20\n"))
+    assert run("evaluate", "--config", path,
+               "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
+    assert "sequence 's1': no ground truth covers the test part" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["offset.S1 = 0.5", "window.s2 = 0, 1",
+                                  "imu.s3 = imu.csv"])
+def test_sequence_key_naming_no_split_sequence_is_data_error(tmp_path, capsys,
+                                                             line):
+    # with a readable s1, such a key was ignored and evaluate exited 0
+    synth_scene(tmp_path, name="s1", duration=4.0)
+    path = write_config(tmp_path, (f"data_root = {tmp_path}\n"
+                                   f"split.s1 = test\n{line}\n"))
+    assert run("evaluate", "--config", path, "--methods", "raw", "--distances",
+               "1", "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
+    key = line.split(" = ")[0]
+    assert f"config key '{key}' names no split sequence" in \
+        capsys.readouterr().err
+
+
 # -- config keys -------------------------------------------------------------------
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -251,21 +341,18 @@ def test_unknown_config_key_is_data_error_before_loading(tmp_path, capsys,
 @pytest.mark.parametrize("name", ["euroc.cfg", "tumvi.cfg"])
 def test_shipped_configs_pass_the_key_checks(name):
     path = os.path.join(CONFIGS, name)
-    cfg = data.parse_config(path)
-    cli._check_config_keys(cfg)
+    cfg = cli._read_config(path)
     args = cli.build_parser().parse_args(["train", "--config", path])
     cli._train_config(args, cfg)
     cli._loss_config(cfg)
-    cli.tcfg_dropout(False, cfg)
 
 
-def test_adam_constants_are_not_train_config_keys():
-    args = cli.build_parser().parse_args(["train"])
+def test_adam_constants_are_not_train_config_keys(tmp_path):
     for key in ("train.beta1", "train.beta2", "train.eps",
                 "train.restart_mult", "train.lr_min"):
         with pytest.raises(data.ValidationError,
                            match="unknown train config key"):
-            cli._train_config(args, {key: "0.5"})
+            cli._read_config(write_config(tmp_path, f"{key} = 0.5\n"))
     for flag in ("--restart-mult", "--lr-min"):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["train", flag, "0.5"])
@@ -332,7 +419,7 @@ def readme_commands():
     continuation lines joined."""
     path = os.path.join(os.path.dirname(__file__), "..", "README.md")
     commands, in_block, pending = [], False, None
-    for line in open(path).read().splitlines():
+    for line in read(path).splitlines():
         if line.startswith("```"):
             in_block = not in_block
             continue
