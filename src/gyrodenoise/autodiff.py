@@ -372,7 +372,9 @@ def conv1d_dilated(x, w, b, dilation=1):
 
     Each of the K taps is one GEMM per direction: W_k @ x_k forward, and
     g @ x_k.T for gw and W_k.T @ g for gx backward, where x_k is the input
-    segment starting at k * dilation.
+    segment starting at k * dilation. The gw GEMM is the one
+    np.tensordot(g, x_k, axes=([0, 2], [0, 2])) makes, with g's
+    (C_out, B*T') copy built once per call instead of once per tap.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -397,9 +399,11 @@ def conv1d_dilated(x, w, b, dilation=1):
     def backward(g):
         gx = np.zeros_like(x.data)
         gw = np.zeros_like(w.data)
+        g_rows = g.transpose(1, 0, 2).reshape(c_out, -1)
         for kk in range(k):
             seg = x.data[:, :, kk * dilation: kk * dilation + t_out]
-            gw[:, :, kk] = np.tensordot(g, seg, axes=([0, 2], [0, 2]))
+            gw[:, :, kk] = np.dot(g_rows,
+                                  seg.transpose(0, 2, 1).reshape(-1, c_in))
             gx[:, :, kk * dilation: kk * dilation + t_out] += np.matmul(
                 w.data[:, :, kk].T, g
             )

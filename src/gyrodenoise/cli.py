@@ -78,8 +78,9 @@ def _read_config(path):
     stamp), imu.NAME / gt.NAME path overrides, offset.NAME (ground-truth
     clock offset, s), train.<TrainConfig field>, loss.js, loss.huber_delta
     and net.dropout. Any other key, a per-sequence key whose NAME has no
-    split. key, or an unknown role is a ValidationError. Returns the flat
-    dict.
+    split. key, an unknown role, or a window or offset value that is not
+    two comma-separated numbers or one number is a ValidationError.
+    Returns the flat dict.
     """
     cfg = data.parse_config(path)
     names = {key[len("split."):] for key in cfg if key.startswith("split.")}
@@ -94,6 +95,8 @@ def _read_config(path):
             if group == "split" and val not in ("train", "val", "test",
                                                 "train+val"):
                 raise data.ValidationError(f"unknown split role {val!r}")
+            if group in ("window", "offset"):
+                _check_numbers(key, member, val, 2 if group == "window" else 1)
         elif group in members and member:
             if member not in members[group]:
                 raise data.ValidationError(
@@ -102,6 +105,19 @@ def _read_config(path):
             why = ": the sample period is measured" if key == "rate" else ""
             raise data.ValidationError(f"unknown config key {key!r}{why}")
     return cfg
+
+
+def _check_numbers(key, name, text, count):
+    what = ("two comma-separated numbers (start, end in s)" if count == 2
+            else "one number (s)")
+    try:
+        ok = len([float(x) for x in text.split(",")]) == count
+    except ValueError:
+        ok = False
+    if not ok:
+        raise data.ValidationError(
+            f"config key {key!r} of sequence {name!r} needs {what}, "
+            f"got {text!r}")
 
 
 def _sequence_paths(root, name, fmt):
@@ -339,6 +355,9 @@ def cmd_evaluate(args):
         _check_checkpoint_methods(extra, methods)
     dataset = _load_dataset(args, cfg)
     sequences = dataset["test"] or dataset["train"]
+    if not sequences:
+        raise data.ValidationError(
+            f"config {args.config!r} names no test or train sequence")
     reports = evaluator.run_baselines(sequences, params, distances, methods)
     path = evaluator.write_reports(reports, outdir)
     _write_snapshot(outdir, args)

@@ -6,6 +6,10 @@ sample. ROE collects relative errors over windows spanning fixed trajectory
 displacements (7, 21 and 35 m by default) so drift is scored independently
 of where it starts. Both come in a full 3D and a yaw-only variant and are
 reported in degrees.
+
+The ROE windows of one distance bucket are held as columns (RoeWindows:
+one array per field, one entry per window) from `roe` through the report
+summaries to roe.csv, which writes each block of rows with one template.
 """
 
 from __future__ import annotations
@@ -23,12 +27,16 @@ METHODS = ("raw", "calibrated", "proposed", "zero")
 
 
 @dataclass
-class RoeSample:
-    start: int
-    end: int
-    distance: float    # traveled meters, within 5% of the target bucket
-    error_3d: float    # degrees
-    error_yaw: float   # degrees
+class RoeWindows:
+    """The ROE windows of one distance bucket, one array entry per window."""
+    start: np.ndarray      # int64 index of the window's first sample
+    end: np.ndarray        # int64 index of its last sample
+    distance: np.ndarray   # traveled meters, within tolerance of the bucket
+    error_3d: np.ndarray   # degrees
+    error_yaw: np.ndarray  # degrees
+
+    def __len__(self):
+        return len(self.start)
 
 
 def _yaw_of(e):
@@ -67,7 +75,9 @@ def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
     positions provide the arclength). For each start n the end g(n) is the
     index whose traveled distance is nearest the target; windows off by
     more than the tolerance, or touching a ground-truth gap, are skipped.
-    Returns {distance: [RoeSample, ...]}.
+    Returns {distance: RoeWindows}: the kept windows' start and end
+    indices n < g(n), their traveled distance in m, and their 3D and yaw
+    errors in degrees, in order of n.
     """
     est_rots = np.asarray(est_rots, dtype=float)
     if len(gt.rot) != len(est_rots):
@@ -97,15 +107,12 @@ def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
         e = np.swapaxes(d_gt, -1, -2) @ d_est
         err3d = np.degrees(np.linalg.norm(so3.log_so3(e), axis=-1))
         erryaw = np.degrees(np.abs(_yaw_of(e)))
-        out[dist] = [
-            RoeSample(int(a), int(b), float(d), float(e3), float(ey))
-            for a, b, d, e3, ey in zip(n, g, traveled, err3d, erryaw)
-        ]
+        out[dist] = RoeWindows(n, g, traveled, err3d, erryaw)
     return out
 
 
 def percentiles(values, qs=(25.0, 50.0, 75.0)):
-    """Percentiles of a sample list (linear interpolation)."""
+    """Percentiles of a sample array (linear interpolation)."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return {q: float("nan") for q in qs}
@@ -118,13 +125,13 @@ class MetricsReport:
     sequence: str
     aoe_3d: float
     aoe_yaw: float
-    roe_samples: dict = field(default_factory=dict)  # distance -> [RoeSample]
+    roe_samples: dict = field(default_factory=dict)  # distance -> RoeWindows
 
     def roe_summary(self):
         out = {}
         for dist, samples in sorted(self.roe_samples.items()):
-            p3 = percentiles([s.error_3d for s in samples])
-            py = percentiles([s.error_yaw for s in samples])
+            p3 = percentiles(samples.error_3d)
+            py = percentiles(samples.error_yaw)
             out[dist] = {
                 "count": len(samples),
                 "median_3d": p3[50.0],
@@ -191,11 +198,13 @@ def write_reports(reports, outdir):
         f.write("method,sequence,target_m,start,end,"
                 "distance_m,error_3d_deg,error_yaw_deg\n")
         for r in reports:
-            for dist, samples in sorted(r.roe_samples.items()):
-                for s in samples:
-                    f.write(f"{r.method},{r.sequence},{dist:g},{s.start},"
-                            f"{s.end},{s.distance:.6g},{s.error_3d:.17g},"
-                            f"{s.error_yaw:.17g}\n")
+            for dist, w in sorted(r.roe_samples.items()):
+                # '%.17g' % x and f"{x:.17g}" print the same digits
+                head = f"{r.method},{r.sequence},{dist:g},".replace("%", "%%")
+                row = head + "%d,%d,%.6g,%.17g,%.17g\n"
+                f.write("".join(map(row.__mod__, zip(
+                    w.start.tolist(), w.end.tolist(), w.distance.tolist(),
+                    w.error_3d.tolist(), w.error_yaw.tolist()))))
     roes = [r.roe_summary() for r in reports]
     summary = {
         "summaries": [
@@ -224,7 +233,7 @@ def load_reports(path):
             head, target, a, b, d, e3, ey = line.rstrip("\n").rsplit(",", 6)
             method, sequence = head.split(",", 1)
             rows.setdefault((method, sequence, target), []).append(
-                RoeSample(int(a), int(b), float(d), float(e3), float(ey)))
+                (int(a), int(b), float(d), float(e3), float(ey)))
     with open(path) as f:
         summaries = json.load(f)["summaries"]
     reports = []
@@ -234,7 +243,11 @@ def load_reports(path):
             got = rows.get((s["method"], s["sequence"], f"{float(d):g}"), [])
             if len(got) != stats["count"]:
                 raise ValueError(f"{roe_path} does not match {path}")
-            samples[float(d)] = got
+            a, b, dist, e3, ey = zip(*got) if got else ((),) * 5
+            samples[float(d)] = RoeWindows(
+                np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                np.array(dist, dtype=float), np.array(e3, dtype=float),
+                np.array(ey, dtype=float))
         reports.append(MetricsReport(s["method"], s["sequence"], s["aoe_3d"],
                                      s["aoe_yaw"], samples))
     return reports

@@ -45,19 +45,33 @@ def vee(m):
     )
 
 
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def check_rotation(r, tol=ORTHO_TOL):
-    """Raise InvalidRotationError if r is not a rotation within tol."""
+    """Raise InvalidRotationError if r is not a rotation within tol.
+
+    Batched over leading axes. |R^T R - I|_F comes from the six dot
+    products of the columns c0, c1, c2 of R, and det R from the triple
+    product c0 . (c1 x c2).
+    """
     r = np.asarray(r, dtype=float)
     if r.shape[-2:] != (3, 3):
         raise InvalidRotationError(f"expected trailing shape (3, 3), got {r.shape}")
     if not np.all(np.isfinite(r)):
         raise InvalidRotationError("non-finite entries in rotation matrix")
-    err = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - np.eye(3), axis=(-2, -1))
+    c0, c1, c2 = cols = [[r[..., i, j] for i in range(3)] for j in range(3)]
+    diag = [_dot3(c, c) - 1.0 for c in cols]
+    off = [_dot3(c0, c1), _dot3(c0, c2), _dot3(c1, c2)]
+    err = np.sqrt(sum(d * d for d in diag) + 2.0 * sum(o * o for o in off))
     if np.any(err > tol):
         raise InvalidRotationError(
             f"matrix fails orthonormality: |R^T R - I| = {float(np.max(err)):.3e}"
         )
-    det = np.linalg.det(r)
+    det = _dot3(c0, (c1[1] * c2[2] - c1[2] * c2[1],
+                     c1[2] * c2[0] - c1[0] * c2[2],
+                     c1[0] * c2[1] - c1[1] * c2[0]))
     if np.any(np.abs(det - 1.0) > tol):
         raise InvalidRotationError(f"determinant {float(np.min(det)):.6f} != 1")
     return r

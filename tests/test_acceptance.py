@@ -219,7 +219,7 @@ def test_7_denoising_beats_calibration():
     def roe_median(method, params):
         est = evaluator.estimate_attitudes(method, test_seq, test_gt, params)
         samples = evaluator.roe(test_gt, est, distances=(7.0,))[7.0]
-        return float(np.median([s.error_3d for s in samples]))
+        return float(np.median(samples.error_3d))
 
     # static-calibration baseline: zeroed-input fit of C and the bias
     cal_params = network.ModelParams(network.NetConfig(dropout=0.0), seed=0)

@@ -296,6 +296,48 @@ def gemm_conv_max_rel_errors():
     return worst
 
 
+def conv_gw_tensordot_mismatches():
+    """Default layers, at the train and the evaluate shape, whose conv
+    weight gradient differs in any bit from the per-tap
+    np.tensordot(g, x_k, axes=([0, 2], [0, 2])) form."""
+    cfg = network.NetConfig()
+    rng = np.random.default_rng(32)
+    bad = []
+    for bsz, t in [(6, 1792), (1, 12_510)]:
+        for i, (k, d) in enumerate(zip(cfg.kernel_sizes, cfg.dilations)):
+            c_in, c_out = cfg.channels[i], cfg.channels[i + 1]
+            x = rng.normal(size=(bsz, c_in, t))
+            w = rng.uniform(-1.0, 1.0, size=(c_out, c_in, k)) / np.sqrt(c_in * k)
+            t_out = t - (k - 1) * d
+            g = rng.normal(size=(bsz, c_out, t_out))
+            wt = ad.Tensor(w, requires_grad=True)
+            (ad.conv1d_dilated(ad.Tensor(x), wt, ad.Tensor(np.zeros(c_out)), d)
+             * g).sum().backward()
+            ref = np.stack([np.tensordot(g, x[:, :, kk * d: kk * d + t_out],
+                                         axes=([0, 2], [0, 2]))
+                            for kk in range(k)], axis=-1)
+            if not np.array_equal(wt.grad, ref):
+                bad.append((bsz, t, i))
+            t = t_out
+    return bad
+
+
+def test_conv_gw_equals_tensordot_bit_for_bit():
+    assert conv_gw_tensordot_mismatches() == []
+
+
+def test_conv_gw_equals_tensordot_on_one_blas_thread():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
+            "import test_autodiff; "
+            "print(json.dumps(test_autodiff.conv_gw_tensordot_mismatches()))")
+    proc = subprocess.run([sys.executable, "-c", code, src_dir, tests_dir],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
 def test_gemm_conv_matches_einsum_at_default_layer_shapes():
     worst = gemm_conv_max_rel_errors()
     assert max(worst.values()) <= 1e-12, worst

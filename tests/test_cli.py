@@ -316,6 +316,31 @@ def test_sequence_key_naming_no_split_sequence_is_data_error(tmp_path, capsys,
         capsys.readouterr().err
 
 
+def test_evaluate_on_config_without_sequences_is_data_error(tmp_path, capsys):
+    # an empty config once wrote an empty aoe.csv and exited 0
+    path = write_config(tmp_path, "")
+    assert run("evaluate", "--config", path,
+               "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
+    assert "names no test or train sequence" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "rep" / "aoe.csv")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("window.c = 0", "config key 'window.c' of sequence 'c' needs two "
+                     "comma-separated numbers (start, end in s), got '0'"),
+    ("offset.a = half", "config key 'offset.a' of sequence 'a' needs one "
+                        "number (s), got 'half'"),
+])
+def test_malformed_window_or_offset_is_data_error_before_loading(
+        tmp_path, capsys, line, message):
+    # data_root holds no data: the value check must fail before any load
+    path = write_config(tmp_path, (f"data_root = {tmp_path}\n"
+                                   f"split.a = test\nsplit.c = test\n{line}\n"))
+    assert run("evaluate", "--config", path,
+               "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
 # -- config keys -------------------------------------------------------------------
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")

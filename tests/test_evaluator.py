@@ -82,7 +82,7 @@ def test_roe_zero_for_perfect_estimate():
     scene, _, gt = make_scene(duration=30.0)
     out = evaluator.roe(gt, gt.rot, distances=(7.0, 21.0))
     assert len(out[7.0]) > 100
-    assert max(s.error_3d for s in out[7.0]) < 1e-9
+    assert np.max(out[7.0].error_3d) < 1e-9
 
 
 def test_roe_constant_bias_straight_line():
@@ -93,26 +93,27 @@ def test_roe_constant_bias_straight_line():
         np.eye(3), np.tile([0.0, 0.0, b], (n - 1, 1)), dt)[:n]
     out = evaluator.roe(gt, est, distances=(7.0,))
     expected = np.degrees(b * 7.0 / v)
-    errs = np.array([s.error_yaw for s in out[7.0]])
+    errs = out[7.0].error_yaw
     assert np.all(np.abs(errs - expected) < 0.06 * expected)
 
 
 def test_roe_distance_tolerance_and_window_validity():
     gt = straight_line_gt(4000)
     out = evaluator.roe(gt, gt.rot, distances=(7.0,))
-    for s in out[7.0]:
-        assert abs(s.distance - 7.0) <= 0.35
-        assert s.end > s.start
+    w = out[7.0]
+    assert np.all(np.abs(w.distance - 7.0) <= 0.35)
+    assert np.all(w.end > w.start)
 
 
 def test_roe_zero_motion_equals_increment_norms():
     scene, _, gt = make_scene(duration=30.0)
     est = np.tile(gt.rot[0], (len(gt.rot), 1, 1))
     out = evaluator.roe(gt, est, distances=(7.0,))
-    for s in out[7.0][:50]:
-        inc = gt.rot[s.start].T @ gt.rot[s.end]
+    w = out[7.0]
+    for start, end, err in zip(w.start[:50], w.end[:50], w.error_3d[:50]):
+        inc = gt.rot[start].T @ gt.rot[end]
         ref = np.degrees(np.linalg.norm(so3.log_so3(inc)))
-        assert abs(s.error_3d - ref) < 1e-9
+        assert abs(err - ref) < 1e-9
 
 
 def test_roe_symmetric_in_gt_and_est():
@@ -122,9 +123,7 @@ def test_roe_symmetric_in_gt_and_est():
     a = evaluator.roe(gt, est, distances=(7.0,))
     gt_swapped = data.GroundTruth(gt.t, est, gt.pos)
     b = evaluator.roe(gt_swapped, gt.rot, distances=(7.0,))
-    ea = [s.error_3d for s in a[7.0]]
-    eb = [s.error_3d for s in b[7.0]]
-    np.testing.assert_allclose(ea, eb, atol=1e-9)
+    np.testing.assert_allclose(a[7.0].error_3d, b[7.0].error_3d, atol=1e-9)
 
 
 def test_roe_skips_gap_windows():
@@ -133,8 +132,8 @@ def test_roe_skips_gap_windows():
     gaps[2000:2100] = True
     gt_gap = data.GroundTruth(gt.t, gt.rot, gt.pos, gaps)
     out = evaluator.roe(gt_gap, gt.rot, distances=(7.0,))
-    for s in out[7.0]:
-        assert s.end < 2000 or s.start > 2099
+    w = out[7.0]
+    assert np.all((w.end < 2000) | (w.start > 2099))
 
 
 def test_roe_too_short_trajectory():
@@ -190,17 +189,57 @@ def test_run_baselines_ordering_and_roundtrip(tmp_path):
     for got, want in zip(loaded, reports):
         assert list(got.roe_samples) == list(want.roe_samples)
         for dist, samples in want.roe_samples.items():
-            assert [(s.start, s.end, s.error_3d, s.error_yaw)
-                    for s in got.roe_samples[dist]] == [
-                (s.start, s.end, s.error_3d, s.error_yaw) for s in samples]
+            loaded_w = got.roe_samples[dist]
+            for col in ("start", "end", "error_3d", "error_yaw"):
+                assert (getattr(loaded_w, col).tolist()
+                        == getattr(samples, col).tolist()), col
             # roe.csv publishes the traveled distance at 6 digits
-            assert [s.distance for s in got.roe_samples[dist]] == [
-                float(f"{s.distance:.6g}") for s in samples]
+            assert loaded_w.distance.tolist() == [
+                float(f"{d:.6g}") for d in samples.distance.tolist()]
     evaluator.write_reports(loaded, tmp_path / "again")
     for name in ("aoe.csv", "roe.csv", "summary.json", "roe_boxplot.svg"):
         assert ((tmp_path / "again" / name).read_bytes()
                 == (tmp_path / "out" / name).read_bytes()), name
     assert (tmp_path / "out" / "roe_boxplot.svg").read_text().startswith("<svg")
+
+
+def roe_csv_reference(reports):
+    """roe.csv as the per-row f-string writer printed it."""
+    lines = ["method,sequence,target_m,start,end,"
+             "distance_m,error_3d_deg,error_yaw_deg\n"]
+    for r in reports:
+        for dist, w in sorted(r.roe_samples.items()):
+            for a, b, d, e3, ey in zip(w.start.tolist(), w.end.tolist(),
+                                       w.distance.tolist(), w.error_3d.tolist(),
+                                       w.error_yaw.tolist()):
+                lines.append(f"{r.method},{r.sequence},{dist:g},{a},{b},"
+                             f"{d:.6g},{e3:.17g},{ey:.17g}\n")
+    return "".join(lines)
+
+
+def test_roe_csv_matches_per_row_fstring_writer(tmp_path):
+    rng = np.random.default_rng(5)
+
+    def windows(n):
+        start = rng.integers(0, 10**9, size=n)
+        # distances .6g prints in exponent form among plain ones
+        dist = np.concatenate([[1e-05, 123456789.0, 7.0000049, 0.1 + 0.2],
+                               rng.uniform(6.65, 7.35, size=n - 4)])
+        err = rng.uniform(0.0, 30.0, size=(2, n)) / 3.0  # 17 digits
+        err[:, :4] = [[0.0, 5e-324, 1e22, 1.0 / 3.0],
+                      [np.pi, 2.0**-40, 123456789.01234567, 1e-17]]
+        return evaluator.RoeWindows(start, start + 200, dist, err[0], err[1])
+
+    empty = evaluator.RoeWindows(*(np.array([], dtype=dt) for dt in
+                                   (np.int64, np.int64, float, float, float)))
+    reports = [
+        evaluator.MetricsReport("raw", "seq%d,a", 1.0, 2.0,
+                                {7.0: windows(50), 21.0: empty}),
+        evaluator.MetricsReport("zero", "b", 0.1 + 0.2, 1e-300,
+                                {1e-05: windows(9), 35.5: windows(20)}),
+    ]
+    evaluator.write_reports(reports, tmp_path)
+    assert (tmp_path / "roe.csv").read_text() == roe_csv_reference(reports)
 
 
 def test_load_reports_rejects_roe_csv_that_does_not_match(tmp_path):

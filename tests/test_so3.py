@@ -101,6 +101,67 @@ def test_log_rejects_non_orthonormal():
         so3.log_so3(np.eye(3) + 1e-3)
 
 
+def check_rotation_reference(r, tol=so3.ORTHO_TOL):
+    """The batched-matmul and np.linalg.det check that the closed form
+    replaced: None if r passes, else the message it raises with."""
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r)):
+        return "non-finite entries in rotation matrix"
+    err = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - np.eye(3), axis=(-2, -1))
+    if np.any(err > tol):
+        return ("matrix fails orthonormality: |R^T R - I| = "
+                f"{float(np.max(err)):.3e}")
+    det = np.linalg.det(r)
+    if np.any(np.abs(det - 1.0) > tol):
+        return f"determinant {float(np.min(det)):.6f} != 1"
+    return None
+
+
+def check_rotation_outcome(r):
+    try:
+        so3.check_rotation(r)
+    except so3.InvalidRotationError as err:
+        return str(err)
+    return None
+
+
+def test_check_rotation_matches_matmul_det_reference():
+    rng = np.random.default_rng(41)
+    rots = so3.exp_so3(rng.normal(scale=2.0, size=(500, 3)))
+
+    def sheared(f):
+        # R (I + s e0 e1^T): |M^T M - I|_F = sqrt(2 s^2 + s^4) = f * tol,
+        # det 1
+        s = np.sqrt(np.sqrt(1.0 + (f * so3.ORTHO_TOL) ** 2) - 1.0)
+        m = np.eye(3)
+        m[0, 1] = s
+        return rots @ m
+
+    nan, inf = rots.copy(), rots.copy()
+    nan[7, 1, 2] = np.nan
+    inf[3, 0, 0] = -np.inf
+    reflected = rots @ np.diag([1.0, 1.0, -1.0])
+    mixed = rots.copy()
+    mixed[-1] = sheared(1.01)[-1]
+    cases = {"rotations": rots, "below tol": sheared(0.99),
+             "above tol": sheared(1.01), "reflection": reflected,
+             "nan": nan, "inf": inf, "one bad in a batch": mixed,
+             "stacked": rots.reshape(5, 100, 3, 3)}
+    want = {"rotations": None, "below tol": None, "reflection": "determinant",
+            "nan": "non-finite", "inf": "non-finite",
+            "above tol": "orthonormality", "one bad in a batch": "orthonormality",
+            "stacked": None}
+    for name, batch in cases.items():
+        ref = check_rotation_reference(batch)
+        assert check_rotation_outcome(batch) == ref, name
+        assert (ref is None) == (want[name] is None), name
+        if ref is not None:
+            assert want[name] in ref, name
+        for i, r in enumerate(batch.reshape(-1, 3, 3)[::50]):
+            assert (check_rotation_outcome(r)
+                    == check_rotation_reference(r)), (name, i)
+
+
 def test_exp_log_roundtrip_property():
     rng = np.random.default_rng(2)
     n = 10_000
