@@ -5,7 +5,11 @@ One CSV reader serves every supported recording:
                 canonical file written by this package and the native
                 EuRoC MAV / TUM-VI imu0 csv (w_RS_S_*, a_RS_S_*)
   ground truth  t_ns, p(3), q(w,x,y,z); extra columns (EuRoC) are ignored
-The sample period is measured from the IMU stamps, never configured.
+The rows after the header are read in one numpy pass; a file that pass
+rejects goes through a line parser, which names the line of any malformed,
+short or non-finite row. The writers emit every value in %.17g, which reads
+back to the same float64. The sample period is measured from the IMU
+stamps, never configured.
 """
 
 from __future__ import annotations
@@ -84,22 +88,63 @@ def _read_csv_rows(path, n_cols_min):
     would round EuRoC-scale stamps, ~1.4e18 ns, to multiples of 256 ns) and
     the next n_cols_min - 1 columns as a float (N, n_cols_min - 1) array.
     Non-numeric lines before the first data row are headers.
+
+    The lines after the headers are read in one np.loadtxt pass. Any file
+    that pass rejects (a float-formatted or out-of-range stamp, a short row,
+    a malformed field, a blank-looking or comment line after the first data
+    row) or that holds a non-finite value goes to the line parser, which
+    owns every error message and the truncation of float stamps. A '#' is
+    data to loadtxt here, so "1,2,3 # note" fails both readers alike.
     """
+    skip = _header_lines(path)
+    if skip is None:
+        raise ValidationError(f"{path}: no data rows")
+    try:
+        rows = np.loadtxt(
+            path, delimiter=",", comments=None, skiprows=skip,
+            usecols=range(n_cols_min), ndmin=1,
+            dtype=[("t", "<i8"), ("v", "<f8", (n_cols_min - 1,))])
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(rows["v"]).all():
+            return (np.ascontiguousarray(rows["t"]),
+                    np.ascontiguousarray(rows["v"]))
+    return _parse_csv_lines(path, n_cols_min, skip)
+
+
+def _header_lines(path):
+    """Number of lines before the first one whose first field is a
+    timestamp, or None when no line is."""
+    with open(path) as f:
+        for i, line in enumerate(f):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                _parse_stamp(line.split(",")[0])
+            except ValueError:
+                continue
+            return i
+    return None
+
+
+def _parse_csv_lines(path, n_cols_min, skip):
+    """_read_csv_rows for the lines after the first skip, one at a time;
+    every error names its line."""
     stamps, rows, linenos = [], [], []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if lineno <= skip or not line or line.startswith("#"):
                 continue
             parts = line.split(",")
             try:
                 stamp = _parse_stamp(parts[0])
             except ValueError:
-                if rows:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: malformed numeric field"
-                    ) from None
-                continue  # header line
+                raise ValidationError(
+                    f"{path}: line {lineno}: malformed numeric field"
+                ) from None
             if len(parts) < n_cols_min:
                 raise ValidationError(
                     f"{path}: line {lineno}: expected at least {n_cols_min} "
@@ -116,8 +161,6 @@ def _read_csv_rows(path, n_cols_min):
             stamps.append(stamp)
             rows.append(row)
             linenos.append(lineno)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
     values = np.array(rows)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
@@ -162,20 +205,24 @@ def load_sequence(imu_path, gt_path, name=""):
 
 
 def write_imu_csv(path, t_ns, gyro, acc):
-    with open(path, "w") as f:
-        f.write("t_ns,gx,gy,gz,ax,ay,az\n")
-        for ti, g, a in zip(t_ns, gyro, acc):
-            f.write(f"{int(ti)},{g[0]:.17g},{g[1]:.17g},{g[2]:.17g},"
-                    f"{a[0]:.17g},{a[1]:.17g},{a[2]:.17g}\n")
+    _write_csv(path, "t_ns,gx,gy,gz,ax,ay,az\n", t_ns,
+               np.concatenate([gyro, acc], axis=1))
 
 
 def write_gt_csv(path, t_ns, rots, pos):
+    _write_csv(path, "t_ns,px,py,pz,qw,qx,qy,qz\n", t_ns,
+               np.concatenate([pos, so3.rot_to_quat(rots)], axis=1))
+
+
+def _write_csv(path, header, t_ns, values):
+    """One row per stamp: the stamp as an integer, then each value of its
+    row of values in %.17g, which reads back to the same float64."""
+    values = np.asarray(values, dtype=float)
+    row = "%d" + ",%.17g" * values.shape[1] + "\n"
     with open(path, "w") as f:
-        f.write("t_ns,px,py,pz,qw,qx,qy,qz\n")
-        for ti, r, p in zip(t_ns, rots, pos):
-            q = so3.rot_to_quat(r)
-            f.write(f"{int(ti)},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
-                    f"{q[0]:.17g},{q[1]:.17g},{q[2]:.17g},{q[3]:.17g}\n")
+        f.write(header)
+        f.write("".join(map(row.__mod__, zip(np.asarray(t_ns).tolist(),
+                                             *values.T.tolist()))))
 
 
 # -- alignment -----------------------------------------------------------------

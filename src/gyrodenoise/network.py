@@ -4,10 +4,19 @@ The corrected rate is  w_hat_n = C_omega_hat @ w_imu_n + w_tilde_n  where
 w_tilde is the network output computed from a past-only window of 6-channel
 IMU data. At initialization C_omega_hat = I and the final layer is zeroed,
 so the corrected gyro equals the raw gyro exactly.
+
+A checkpoint is one JSON object: "version" (2), "config" (NetConfig),
+"input_mean"/"input_std" (float lists), "tensors" ({name: {"shape": [...],
+"data": ...}} in trainable() order), "bn_running" ([{"mean", "var",
+"initialized"}] per batchnorm layer) and "extra". Every "data", "mean" and
+"var" is the base64 of the values as little-endian float64 in C order, so a
+load gives back every bit, the sign of zero included. Version 1 files,
+which hold those arrays as JSON float lists, are still read.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 
@@ -16,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from . import so3
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -219,6 +228,29 @@ def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False):
 
 # -- checkpoints -----------------------------------------------------------------
 
+def _to_base64(a):
+    """base64 of the array's values as little-endian float64, in C order."""
+    raw = np.ascontiguousarray(a, dtype="<f8")
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _from_base64(text, shape, what):
+    """A writable float array of the given shape from _to_base64's text."""
+    if not isinstance(text, str):
+        raise ValueError(f"checkpoint {what}: expected a base64 string")
+    raw = base64.b64decode(text, validate=True)
+    n = int(np.prod(shape))
+    if len(raw) != 8 * n:
+        raise ValueError(f"checkpoint {what}: {len(raw)} bytes of payload, "
+                         f"shape {tuple(shape)} needs {8 * n}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
+def _from_list(values, shape, what):
+    """A float array of the given shape from a version 1 list of floats."""
+    return np.array(values, dtype=float).reshape(shape)
+
+
 def save_checkpoint(path, params: ModelParams, extra=None):
     payload = {
         "version": CHECKPOINT_VERSION,
@@ -226,11 +258,11 @@ def save_checkpoint(path, params: ModelParams, extra=None):
         "input_mean": params.input_mean.tolist(),
         "input_std": params.input_std.tolist(),
         "tensors": {
-            name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
+            name: {"shape": list(t.data.shape), "data": _to_base64(t.data)}
             for name, t in params.trainable()
         },
         "bn_running": [
-            {"mean": s.mean.tolist(), "var": s.var.tolist(),
+            {"mean": _to_base64(s.mean), "var": _to_base64(s.var),
              "initialized": s.initialized}
             for s in params.bn_state
         ],
@@ -241,22 +273,26 @@ def save_checkpoint(path, params: ModelParams, extra=None):
 
 
 def load_checkpoint(path):
+    """(ModelParams, extra) from a version 2 or a version 1 checkpoint."""
     with open(path) as f:
         payload = json.load(f)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+    version = payload.get("version")
+    decode = {1: _from_list, CHECKPOINT_VERSION: _from_base64}.get(version)
+    if decode is None:
+        raise ValueError(f"unsupported checkpoint version {version}")
     params = ModelParams(NetConfig.from_dict(payload["config"]))
     named = dict(params.trainable())
     for name, spec in payload["tensors"].items():
         if name not in named:
             raise ValueError(f"unknown tensor {name!r} in checkpoint")
-        arr = np.array(spec["data"], dtype=float).reshape(spec["shape"])
+        arr = decode(spec["data"], spec["shape"], name)
         if arr.shape != named[name].data.shape:
             raise ValueError(f"shape mismatch for {name!r}")
         named[name].data = arr
-    for state, saved in zip(params.bn_state, payload["bn_running"]):
-        state.mean = np.array(saved["mean"], dtype=float)
-        state.var = np.array(saved["var"], dtype=float)
+    for i, (state, saved) in enumerate(zip(params.bn_state,
+                                           payload["bn_running"])):
+        state.mean = decode(saved["mean"], state.mean.shape, f"bn{i} mean")
+        state.var = decode(saved["var"], state.var.shape, f"bn{i} var")
         state.initialized = bool(saved["initialized"])
     params.set_input_stats(payload["input_mean"], payload["input_std"])
     return params, payload.get("extra", {})

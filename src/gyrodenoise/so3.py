@@ -240,21 +240,38 @@ def quat_to_rot(q):
 
 
 def rot_to_quat(r):
-    """Rotation matrix to unit quaternion (w, x, y, z), single matrix."""
+    """Rotations (..., 3, 3) to unit quaternions (..., 4), as (w, x, y, z).
+
+    Where the trace is positive, w = sqrt(1 + tr) / 2 and the rest follow
+    from the skew part. Elsewhere the largest diagonal entry i gives
+    q_i = sqrt(1 + r_ii - r_jj - r_kk) / 2, and the result is renormalised:
+    the per-row BLAS dot (a 1x4 by 4x1 matmul) adds the squares in the order
+    of np.linalg.norm on one quaternion.
+    """
     r = np.asarray(r, dtype=float)
-    tr = np.trace(r)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2
-        return np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
-             (r[1, 0] - r[0, 1]) / s]
-        )
-    i = int(np.argmax(np.diag(r)))
+    lead = r.shape[:-2]
+    r = r.reshape(-1, 3, 3)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    tr = d[:, 0] + d[:, 1] + d[:, 2]
+    pos = tr > 0
+    q = np.empty((len(r), 4))
+
+    rp = r[pos]
+    s = np.sqrt(tr[pos] + 1.0) * 2
+    q[pos, 0] = 0.25 * s
+    q[pos, 1] = (rp[:, 2, 1] - rp[:, 1, 2]) / s
+    q[pos, 2] = (rp[:, 0, 2] - rp[:, 2, 0]) / s
+    q[pos, 3] = (rp[:, 1, 0] - rp[:, 0, 1]) / s
+
+    rn = r[~pos]
+    n = np.arange(len(rn))
+    i = np.argmax(d[~pos], axis=1)
     j, k = (i + 1) % 3, (i + 2) % 3
-    s = np.sqrt(r[i, i] - r[j, j] - r[k, k] + 1.0) * 2
-    q = np.empty(4)
-    q[0] = (r[k, j] - r[j, k]) / s
-    q[1 + i] = 0.25 * s
-    q[1 + j] = (r[j, i] + r[i, j]) / s
-    q[1 + k] = (r[k, i] + r[i, k]) / s
-    return q / np.linalg.norm(q)
+    s = np.sqrt(rn[n, i, i] - rn[n, j, j] - rn[n, k, k] + 1.0) * 2
+    qn = np.empty((len(rn), 4))
+    qn[:, 0] = (rn[n, k, j] - rn[n, j, k]) / s
+    qn[n, 1 + i] = 0.25 * s
+    qn[n, 1 + j] = (rn[n, j, i] + rn[n, i, j]) / s
+    qn[n, 1 + k] = (rn[n, k, i] + rn[n, i, k]) / s
+    q[~pos] = qn / np.sqrt(qn[:, None, :] @ qn[:, :, None])[:, 0]
+    return q.reshape(lead + (4,))

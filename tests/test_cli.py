@@ -414,6 +414,21 @@ def test_proposed_on_calibrate_checkpoint_is_data_error(tmp_path, capsys):
     assert run("integrate", *io, *out, "--method", "calibrated") == 0
 
 
+def test_evaluate_on_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    scene = synth_scene(tmp_path, duration=12.0)
+    ckpt = tmp_path / "ckpt.json"
+    network.save_checkpoint(ckpt, network.ModelParams())
+    payload = json.loads(ckpt.read_text())
+    spec = payload["tensors"]["conv0.w"]
+    spec["data"] = spec["data"][:-4]
+    ckpt.write_text(json.dumps(payload))
+    assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+               "--gt", os.path.join(scene, "gt.csv"),
+               "--checkpoint", str(ckpt), "--distances", "7",
+               "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
+    assert "checkpoint conv0.w" in capsys.readouterr().err
+
+
 def test_integrate_matches_estimate_attitudes(tmp_path):
     from gyrodenoise import evaluator
 

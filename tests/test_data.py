@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gyrodenoise import cli, data, imu, so3
 
@@ -85,6 +90,162 @@ def test_malformed_csv_line_number(tmp_path):
     p.write_text("t_ns,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n5000000,0,zz,0,0,0,0\n")
     with pytest.raises(data.ValidationError, match="line 3"):
         data.load_sequence(p, p)
+
+
+def test_trailing_comment_in_a_field_is_malformed(tmp_path):
+    # '#' is data, not a comment, once a line has begun with a stamp
+    p = tmp_path / "imu.csv"
+    p.write_text("t_ns,gx,gy,gz,ax,ay,az\n0,0,0,0,0,0,0\n"
+                 "5000000,0,0,0,0,0,0 # note\n")
+    with pytest.raises(data.ValidationError, match="line 3: malformed"):
+        data.load_sequence(p, p)
+
+
+# -- the one-pass reader against the line parser -----------------------------------
+
+EUROC_GT_HEADER = ("#timestamp, p_RS_R_x [m], p_RS_R_y [m], p_RS_R_z [m], "
+                   "q_RS_w [], q_RS_x [], q_RS_y [], q_RS_z [], "
+                   "v_RS_R_x [m s^-1], v_RS_R_y [m s^-1], v_RS_R_z [m s^-1]")
+
+
+def _gt_lines(n=40, seed=3, extra=3):
+    rng = np.random.default_rng(seed)
+    t0 = 1403636579758555393
+    rows = []
+    for k in range(n):
+        vals = rng.normal(size=7 + extra).tolist()
+        rows.append(f"{t0 + k * 5_000_000}," + ",".join(map(repr, vals)))
+    return rows
+
+
+READER_CASES = {
+    "several headers": (["title line", "t_ns,px,py,pz,qw,qx,qy,qz,a,b,c"]
+                        + _gt_lines()),
+    "euroc ground truth": [EUROC_GT_HEADER] + _gt_lines(),
+    "blank lines": ["", EUROC_GT_HEADER, ""] + _gt_lines()[:20] + ["", ""]
+                   + _gt_lines()[20:] + [""],
+    "spaces around fields": [EUROC_GT_HEADER] + [
+        " " + " , ".join(r.split(",")) + "  " for r in _gt_lines()],
+    "comment lines": ["# one", EUROC_GT_HEADER, "# two"] + _gt_lines()[:10]
+                     + ["# mid-file", "  # indented"] + _gt_lines()[10:],
+    "no header": _gt_lines(extra=0),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_reader_equals_line_parser(tmp_path, case, newline):
+    p = tmp_path / "gt.csv"
+    with open(p, "w", newline="") as f:
+        f.write(newline.join(READER_CASES[case]) + newline)
+    t, values = data._read_csv_rows(p, 8)
+    t_ref, values_ref = data._parse_csv_lines(p, 8, data._header_lines(p))
+    assert t.dtype == np.int64 and values.dtype == np.float64
+    assert t.flags.c_contiguous and values.flags.c_contiguous
+    np.testing.assert_array_equal(t, t_ref)
+    np.testing.assert_array_equal(values.view(np.int64),
+                                  values_ref.view(np.int64))
+
+
+@pytest.mark.parametrize("case", sorted(set(READER_CASES) - {"comment lines"}))
+def test_reader_takes_one_pass_without_the_line_parser(tmp_path, case,
+                                                       monkeypatch):
+    p = tmp_path / "gt.csv"
+    p.write_text("\r\n".join(READER_CASES[case]) + "\r\n")
+    want = data._parse_csv_lines(p, 8, data._header_lines(p))
+
+    def unused(*args):
+        raise AssertionError("fell back to the line parser")
+
+    monkeypatch.setattr(data, "_parse_csv_lines", unused)
+    got = data._read_csv_rows(p, 8)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_reader_truncates_float_stamps(tmp_path):
+    p = tmp_path / "imu.csv"
+    p.write_text("t_ns,gx,gy,gz,ax,ay,az\n12.9,1,2,3,4,5,6\n"
+                 "1.5e9,1,2,3,4,5,6\n1500000007,1,2,3,4,5,6\n")
+    t, values = data._read_csv_rows(p, 7)
+    np.testing.assert_array_equal(t, [12, 1_500_000_000, 1_500_000_007])
+    np.testing.assert_array_equal(values, np.tile(np.arange(1.0, 7.0),
+                                                  (3, 1)))
+
+
+def test_header_only_file_has_no_data_rows_and_no_warning(tmp_path):
+    p = tmp_path / "imu.csv"
+    p.write_text("t_ns,gx,gy,gz,ax,ay,az\n\n# nothing recorded\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(data.ValidationError, match="no data rows"):
+            data._read_csv_rows(p, 7)
+
+
+# -- writers ------------------------------------------------------------------------
+
+def write_imu_csv_reference(path, t_ns, gyro, acc):
+    with open(path, "w") as f:
+        f.write("t_ns,gx,gy,gz,ax,ay,az\n")
+        for ti, g, a in zip(t_ns, gyro, acc):
+            f.write(f"{int(ti)},{g[0]:.17g},{g[1]:.17g},{g[2]:.17g},"
+                    f"{a[0]:.17g},{a[1]:.17g},{a[2]:.17g}\n")
+
+
+def write_gt_csv_reference(path, t_ns, rots, pos):
+    with open(path, "w") as f:
+        f.write("t_ns,px,py,pz,qw,qx,qy,qz\n")
+        for ti, r, p in zip(t_ns, rots, pos):
+            q = so3.rot_to_quat(r)
+            f.write(f"{int(ti)},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
+                    f"{q[0]:.17g},{q[1]:.17g},{q[2]:.17g},{q[3]:.17g}\n")
+
+
+def test_writers_match_per_row_reference_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 300
+    t = 1403636579758555393 + 5_000_000 * np.arange(n, dtype=np.int64)
+    special = np.array([-0.0, 0.0, 5e-324, -2.2250738585072e-310,
+                        2.2250738585072014e-308, 1e308, -1e308,
+                        np.finfo(float).max, 0.1, -1 / 3])
+    cols = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-300, 300,
+                                                          size=(n, 6))
+    cols[:len(special)] = special[:, None]
+    rots = so3.exp_so3(rng.normal(size=(n, 3)) * 2.0)
+    for name, write, ref, args in (
+            ("imu", data.write_imu_csv, write_imu_csv_reference,
+             (cols[:, :3], cols[:, 3:])),
+            ("gt", data.write_gt_csv, write_gt_csv_reference,
+             (rots, cols[:, 3:]))):
+        write(tmp_path / f"{name}.csv", t, *args)
+        ref(tmp_path / f"{name}_ref.csv", t, *args)
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_ref.csv").read_bytes()), name
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(start=st.integers(0, 2**62),
+       steps=st.lists(st.integers(1, 10**9), min_size=1, max_size=24),
+       data_=st.data())
+def test_write_then_load_is_bit_exact(tmp_path_factory, start, steps, data_):
+    t = start + np.cumsum([0] + steps, dtype=np.int64)
+    n = len(t)
+    gyro, acc, pos = (data_.draw(hnp.arrays(np.float64, (n, 3),
+                                            elements=finite))
+                      for _ in range(3))
+    rots = so3.exp_so3(data_.draw(hnp.arrays(
+        np.float64, (n, 3), elements=st.floats(-3.0, 3.0))))
+    d = tmp_path_factory.mktemp("roundtrip")
+    data.write_imu_csv(d / "imu.csv", t, gyro, acc)
+    data.write_gt_csv(d / "gt.csv", t, rots, pos)
+    seq, gt = data.load_sequence(d / "imu.csv", d / "gt.csv")
+    np.testing.assert_array_equal(seq.t, t)
+    np.testing.assert_array_equal(gt.t, t)
+    for got, want in ((seq.gyro, gyro), (seq.acc, acc), (gt.pos, pos)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_non_monotonic_time_rejected():

@@ -1,3 +1,5 @@
+import base64
+import json
 import tracemalloc
 
 import numpy as np
@@ -149,6 +151,86 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.bn_state[0].mean, params.bn_state[0].mean)
     assert loaded.bn_state[0].initialized
     np.testing.assert_array_equal(loaded.input_mean, params.input_mean)
+
+
+def _all_arrays(params):
+    out = {name: t.data for name, t in params.trainable()}
+    for i, s in enumerate(params.bn_state):
+        out[f"bn{i}.mean"], out[f"bn{i}.var"] = s.mean, s.var
+    return out
+
+
+def test_checkpoint_keeps_every_bit(tmp_path):
+    params = _trained_like_params()
+    params.conv_b[0].data[:4] = [-0.0, 5e-324, -1e308, np.nan]
+    params.bn_state[1].var[0] = -0.0
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(path, params)
+    assert json.loads(path.read_text())["version"] == 2
+    loaded, _ = network.load_checkpoint(path)
+    want, got = _all_arrays(params), _all_arrays(loaded)
+    assert list(got) == list(want)
+    for name in want:
+        np.testing.assert_array_equal(got[name].view(np.int64),
+                                      want[name].view(np.int64), name)
+        assert got[name].flags.writeable, name
+        got[name] += 1.0  # a writable copy, not a view of the payload
+
+
+def _write_version_1(path, params, extra):
+    """A checkpoint as version 1 wrote it: every array a JSON float list."""
+    payload = {
+        "version": 1,
+        "config": params.config.to_dict(),
+        "input_mean": params.input_mean.tolist(),
+        "input_std": params.input_std.tolist(),
+        "tensors": {
+            name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
+            for name, t in params.trainable()
+        },
+        "bn_running": [
+            {"mean": s.mean.tolist(), "var": s.var.tolist(),
+             "initialized": s.initialized}
+            for s in params.bn_state
+        ],
+        "extra": extra,
+    }
+    with open(path, "w") as f:
+        json.dump(payload, f)
+
+
+def test_version_1_checkpoint_still_loads(tmp_path):
+    params = _trained_like_params()
+    params.set_input_stats(np.arange(6.0), np.arange(1.0, 7.0))
+    path = tmp_path / "v1.json"
+    _write_version_1(path, params, {"epoch": 3})
+    loaded, extra = network.load_checkpoint(path)
+    assert extra == {"epoch": 3}
+    want, got = _all_arrays(params), _all_arrays(loaded)
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], name)
+    assert all(s.initialized for s in loaded.bn_state)
+    np.testing.assert_array_equal(loaded.input_std, params.input_std)
+
+
+def test_checkpoint_payload_length_and_version_are_checked(tmp_path):
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(path, network.ModelParams())
+    payload = json.loads(path.read_text())
+    bad = tmp_path / "bad.json"
+    short = json.loads(json.dumps(payload))      # conv1.b holds 32 values
+    short["tensors"]["conv1.b"]["data"] = base64.b64encode(
+        np.zeros(31)).decode()
+    long = json.loads(json.dumps(payload))       # bn0's mean holds 16
+    long["bn_running"][0]["mean"] = base64.b64encode(np.zeros(17)).decode()
+    for what, broken in (("conv1.b", short), ("bn0 mean", long)):
+        bad.write_text(json.dumps(broken))
+        with pytest.raises(ValueError, match=f"checkpoint {what}: .* bytes"):
+            network.load_checkpoint(bad)
+    payload["version"] = 3
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+        network.load_checkpoint(bad)
 
 
 def _trained_like_params(seed=8):

@@ -203,6 +203,58 @@ def test_project_to_so3_recovers_perturbed_rotation():
     np.testing.assert_allclose(p, r, atol=1e-9)
 
 
+# --- quaternions --------------------------------------------------------------
+
+def rot_to_quat_reference(r):
+    """One matrix at a time: the form the batched kernel must match bit for
+    bit, trace branch and renormalised largest-diagonal branch alike."""
+    tr = np.trace(r)
+    if tr > 0:
+        s = np.sqrt(tr + 1.0) * 2
+        return np.array(
+            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s,
+             (r[1, 0] - r[0, 1]) / s]
+        )
+    i = int(np.argmax(np.diag(r)))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    s = np.sqrt(r[i, i] - r[j, j] - r[k, k] + 1.0) * 2
+    q = np.empty(4)
+    q[0] = (r[k, j] - r[j, k]) / s
+    q[1 + i] = 0.25 * s
+    q[1 + j] = (r[j, i] + r[i, j]) / s
+    q[1 + k] = (r[k, i] + r[i, k]) / s
+    return q / np.linalg.norm(q)
+
+
+def test_rot_to_quat_matches_per_matrix_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    axes = rng.normal(size=(6000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    # all angles, then within 1e-6 of pi, where the renormalisation matters
+    angles = np.concatenate([rng.uniform(0.0, np.pi, 3000),
+                             np.pi - rng.uniform(0.0, 1e-6, 3000)])
+    rots = so3.exp_so3(axes * angles[:, None])
+    rots = np.concatenate([rots, np.eye(3)[None], so3.exp_so3(
+        np.pi * np.eye(3))])
+    diag = np.diagonal(rots, axis1=1, axis2=2)
+    trace_branch = np.array([np.trace(r) > 0 for r in rots])
+    assert trace_branch.sum() > 1000 and (~trace_branch).sum() > 4000
+    # every largest-diagonal axis of the second branch is exercised
+    counts = np.bincount(np.argmax(diag[~trace_branch], axis=1), minlength=3)
+    assert counts.min() > 1000
+    want = np.array([rot_to_quat_reference(r) for r in rots])
+    got = so3.rot_to_quat(rots)
+    np.testing.assert_array_equal(got, want)
+    # any leading shape, a single matrix included
+    np.testing.assert_array_equal(
+        so3.rot_to_quat(rots[:12].reshape(3, 4, 3, 3)), want[:12].reshape(
+            3, 4, 4))
+    np.testing.assert_array_equal(so3.rot_to_quat(rots[-1]), want[-1])
+    # and it inverts quat_to_rot up to the quaternion's sign
+    back = so3.quat_to_rot(got)
+    np.testing.assert_allclose(back, rots, rtol=0, atol=1e-12)
+
+
 # --- integrate_increments ---------------------------------------------------
 
 def test_integrate_zero_rates_stays_put():
