@@ -88,22 +88,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -248,15 +236,14 @@ def gelu(x):
     return _result(out_data, (x,), backward)
 
 
-def dropout(x, p, training, rng=None):
-    """Zero elements with probability p and scale survivors by 1/(1-p)."""
+def dropout(x, p, rng):
+    """Zero elements with probability p, drawn from the numpy Generator rng,
+    and scale survivors by 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
     x = as_tensor(x)
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
-    if rng is None:
-        rng = np.random.default_rng()
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
     out_data = x.data * mask
 
@@ -414,17 +401,21 @@ def conv1d_dilated(x, w, b, dilation=1):
     return _result(out_data, (x, w, b), backward)
 
 
+# weight of each batch's statistics in the running ones, and the variance
+# guard; checkpoints written with other values are refused on load
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 class BatchNormState:
     """Running statistics for one batchnorm layer (not trainable)."""
 
     def __init__(self, channels):
         self.mean = np.zeros(channels)
         self.var = np.ones(channels)
-        self.initialized = False
 
 
-def batchnorm1d(x, gamma, beta, state: BatchNormState, training,
-                momentum=0.1, eps=1e-5):
+def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
     """Per-channel normalization of x (B, C, T) over the batch and time axes."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     bsz, c, t = x.data.shape
@@ -434,15 +425,14 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training,
             raise ValueError("batchnorm training mode needs more than one sample")
         mu = x.data.mean(axis=(0, 2))
         var = x.data.var(axis=(0, 2))
-        state.mean = (1 - momentum) * state.mean + momentum * mu
-        state.var = (1 - momentum) * state.var + momentum * var
-        state.initialized = True
+        state.mean = (1 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
+        state.var = (1 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     else:
         # eval before any training step normalizes with the 0/1 defaults
         mu = state.mean
         var = state.var
 
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu[None, :, None]) * ivar[None, :, None]
     out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
 
@@ -493,7 +483,8 @@ def log_so3(r):
     r = as_tensor(r)
     theta, a, c = so3.log_parts(r.data)
     if np.any(theta > np.pi - 0.01):
-        raise ValueError("log_so3 tensor node requires angles below pi - 0.01")
+        raise so3.DomainError(
+            "log_so3 tensor node requires angles below pi - 0.01")
     out_data = c[..., None] * a
 
     def backward(g):

@@ -227,14 +227,13 @@ def _write_csv(path, header, t_ns, values):
 
 # -- alignment -----------------------------------------------------------------
 
-def align_ground_truth(imu: ImuSequence, gt: GroundTruth, offset_s=0.0,
-                       gap_factor=2.5):
+def align_ground_truth(imu: ImuSequence, gt: GroundTruth, offset_s=0.0):
     """Resample ground truth onto IMU timestamps.
 
     Rotations are interpolated along the geodesic
     R(tau) = R_a exp(tau log(R_a^T R_b)), positions linearly. IMU samples
-    bracketed by a ground-truth spacing larger than gap_factor times the
-    median spacing, or falling outside the ground-truth range, are flagged
+    bracketed by a ground-truth spacing larger than 2.5 times the median
+    spacing, or falling outside the ground-truth range, are flagged
     in gap_mask. A constant time offset (seconds) is applied to the
     ground-truth clock before resampling.
     """
@@ -261,7 +260,7 @@ def align_ground_truth(imu: ImuSequence, gt: GroundTruth, offset_s=0.0,
     rot = ra @ so3.exp_so3(tau[:, None] * dv)
     pos = gt.pos[idx] * (1 - tau[:, None]) + gt.pos[idx + 1] * tau[:, None]
 
-    gaps = outside | (span > gap_factor * med_dt)
+    gaps = outside | (span > 2.5 * med_dt)
     gaps |= gt.gap_mask[idx] | gt.gap_mask[np.clip(idx + 1, 0, len(gt_t) - 1)]
     # exact hits on the last ground-truth sample are not outside
     exact_last = imu.t == gt_t[-1]

@@ -111,8 +111,10 @@ def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
     return out
 
 
-def percentiles(values, qs=(25.0, 50.0, 75.0)):
-    """Percentiles of a sample array (linear interpolation)."""
+def percentiles(values):
+    """Quartiles {25.0, 50.0, 75.0: value} of a sample array (linear
+    interpolation); NaN for an empty one."""
+    qs = (25.0, 50.0, 75.0)
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return {q: float("nan") for q in qs}
@@ -170,9 +172,6 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
     Ground truth must be aligned to the IMU clock. Returns MetricsReport
     objects ordered by (sequence name, method order as given).
     """
-    for method in methods:
-        if method in ("calibrated", "proposed") and params is None:
-            raise ValueError(f"method {method!r} needs a trained checkpoint")
     reports = []
     for name, seq, gt in sorted(sequences, key=lambda x: x[0]):
         good = ~gt.gap_mask

@@ -60,7 +60,7 @@ def tree_products(increments, j, stages_out=None):
     return x
 
 
-def increment_loss(pred_blocks, gt_blocks, huber_delta, valid=None):
+def increment_loss(pred_blocks, gt_blocks, huber_delta, valid):
     """Mean Huber penalty on log(gt @ pred^T) over supervision windows.
 
     pred_blocks: Tensor (..., W, 3, 3) predicted increments per block.
@@ -69,14 +69,11 @@ def increment_loss(pred_blocks, gt_blocks, huber_delta, valid=None):
     """
     flat_pred = pred_blocks.reshape((-1, 3, 3))
     flat_gt = np.asarray(gt_blocks, dtype=float).reshape((-1, 3, 3))
-    if valid is not None:
-        keep = np.nonzero(np.asarray(valid, dtype=bool).ravel())[0]
-        if keep.size == 0:
-            raise ValueError("no valid supervision windows")
-        flat_pred = flat_pred[keep]
-        flat_gt = flat_gt[keep]
-    elif flat_gt.shape[0] == 0:
+    keep = np.nonzero(np.asarray(valid, dtype=bool).ravel())[0]
+    if keep.size == 0:
         raise ValueError("no valid supervision windows")
+    flat_pred = flat_pred[keep]
+    flat_gt = flat_gt[keep]
     resid = ad.matmul(ad.Tensor(flat_gt), flat_pred.transpose(0, 2, 1))
     per_window = ad.huber(ad.log_so3(resid), huber_delta).sum(axis=-1)
     return per_window.mean()

@@ -7,18 +7,21 @@ so the corrected gyro equals the raw gyro exactly.
 
 A checkpoint is one JSON object: "version" (2), "config" (NetConfig),
 "input_mean"/"input_std" (float lists), "tensors" ({name: {"shape": [...],
-"data": ...}} in trainable() order), "bn_running" ([{"mean", "var",
-"initialized"}] per batchnorm layer) and "extra". Every "data", "mean" and
-"var" is the base64 of the values as little-endian float64 in C order, so a
-load gives back every bit, the sign of zero included. Version 1 files,
-which hold those arrays as JSON float lists, are still read.
+"data": ...}} in trainable() order), "bn_running" ([{"mean", "var"}] per
+batchnorm layer) and "extra". Every "data", "mean" and "var" is the base64
+of the values as little-endian float64 in C order, so a load gives back
+every bit, the sign of zero included. Version 1 files, which hold those
+arrays as JSON float lists, are still read. Older files also carry
+"bn_momentum" and "bn_eps" in "config" and "initialized" per batchnorm
+layer; the flag is ignored, and a setting other than autodiff's
+BN_MOMENTUM or BN_EPS is refused.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +37,6 @@ class NetConfig:
     dilations: tuple = (1, 4, 16, 64, 1)
     channels: tuple = (6, 16, 32, 64, 128, 3)
     dropout: float = 0.1
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         if len(self.kernel_sizes) != len(self.dilations):
@@ -63,19 +64,22 @@ class NetConfig:
             "dilations": list(self.dilations),
             "channels": list(self.channels),
             "dropout": self.dropout,
-            "bn_momentum": self.bn_momentum,
-            "bn_eps": self.bn_eps,
         }
 
     @classmethod
     def from_dict(cls, d):
+        # checkpoints written before batchnorm's settings became constants
+        # record them; one that records other values is another model
+        for key, value in (("bn_momentum", ad.BN_MOMENTUM),
+                           ("bn_eps", ad.BN_EPS)):
+            if d.get(key, value) != value:
+                raise ValueError(f"checkpoint config {key} = {d[key]!r}, but "
+                                 f"the model's batchnorm uses {value!r}")
         return cls(
             kernel_sizes=tuple(d["kernel_sizes"]),
             dilations=tuple(d["dilations"]),
             channels=tuple(d["channels"]),
             dropout=d["dropout"],
-            bn_momentum=d["bn_momentum"],
-            bn_eps=d["bn_eps"],
         )
 
 
@@ -138,7 +142,6 @@ class ModelParams:
         for dst, s in zip(out.bn_state, self.bn_state):
             dst.mean = s.mean.copy()
             dst.var = s.var.copy()
-            dst.initialized = s.initialized
         out.input_mean = self.input_mean.copy()
         out.input_std = self.input_std.copy()
         return out
@@ -164,10 +167,12 @@ def forward(params: ModelParams, x, training=False, rng=None,
             zero_input=False, pad=False):
     """Corrected gyro from a raw 6-channel window.
 
-    x: (B, 6, T) array or Tensor with gyro in channels 0..2 (rad/s) and
+    x: (B, 6, T) float array with gyro in channels 0..2 (rad/s) and
     accelerometer in channels 3..5 (m/s^2). Returns a Tensor (B, 3, T')
     with T' = T - receptive_field, or T' = T when pad=True (left zero
     padding; the first receptive_field outputs then depend on the padding).
+    training=True with a non-zero dropout rate draws the masks from rng, a
+    numpy Generator.
 
     zero_input forces the network input to zeros, so the correction is
     constant in time: C_omega_hat plus the network's response to zeros.
@@ -176,11 +181,6 @@ def forward(params: ModelParams, x, training=False, rng=None,
     """
     cfg = params.config
     rf = cfg.receptive_field
-    if isinstance(x, ad.Tensor):
-        x = x.data
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        x = x[None]
     bsz, c, t = x.shape
     if c != 6:
         raise ValueError(f"expected 6 input channels, got {c}")
@@ -202,11 +202,10 @@ def forward(params: ModelParams, x, training=False, rng=None,
                               cfg.dilations[i])
         if i < cfg.n_layers - 1:
             h = ad.batchnorm1d(h, params.bn_gamma[i], params.bn_beta[i],
-                               params.bn_state[i], training,
-                               momentum=cfg.bn_momentum, eps=cfg.bn_eps)
+                               params.bn_state[i], training)
             h = ad.gelu(h)
             if training and cfg.dropout > 0:
-                h = ad.dropout(h, cfg.dropout, training=True, rng=rng)
+                h = ad.dropout(h, cfg.dropout, rng)
 
     gyro_out = gyro_raw if pad else gyro_raw[:, :, rf:]
     corrected = ad.channel_affine(params.c_omega, ad.Tensor(gyro_out)) + h
@@ -262,8 +261,7 @@ def save_checkpoint(path, params: ModelParams, extra=None):
             for name, t in params.trainable()
         },
         "bn_running": [
-            {"mean": _to_base64(s.mean), "var": _to_base64(s.var),
-             "initialized": s.initialized}
+            {"mean": _to_base64(s.mean), "var": _to_base64(s.var)}
             for s in params.bn_state
         ],
         "extra": extra or {},
@@ -293,6 +291,5 @@ def load_checkpoint(path):
                                            payload["bn_running"])):
         state.mean = decode(saved["mean"], state.mean.shape, f"bn{i} mean")
         state.var = decode(saved["var"], state.var.shape, f"bn{i} var")
-        state.initialized = bool(saved["initialized"])
     params.set_input_stats(payload["input_mean"], payload["input_std"])
     return params, payload.get("extra", {})

@@ -24,6 +24,12 @@ class InvalidRotationError(ValueError):
     """Raised when a matrix fails the SO(3) invariants beyond tolerance."""
 
 
+class DomainError(ValueError):
+    """Raised when a rotation vector is non-finite, or a rotation is too
+    close to pi for the differentiable logarithm: what diverging rates
+    produce inside the training loss."""
+
+
 def hat(v):
     """Skew-symmetric matrix of a 3-vector (batched over leading axes)."""
     v = np.asarray(v, dtype=float)
@@ -93,7 +99,7 @@ def exp_so3(v):
     """SO(3) exponential map (Rodrigues formula), batched over leading axes."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite rotation vector")
+        raise DomainError("non-finite rotation vector")
     a, b, _ = _exp_coeffs(np.linalg.norm(v, axis=-1))
     k = hat(v)
     return (

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import loss, network
+from . import loss, network, so3
 
 
 # training-time augmentation noise, 0.01 deg/s expressed in rad/s
@@ -138,12 +138,10 @@ def _guarded_loss(epoch, *args, **kwargs):
     """total_loss with divergence failures mapped to DivergenceError."""
     try:
         out = loss.total_loss(*args, **kwargs)
-    except ValueError as err:
+    except so3.DomainError as err:
         # non-finite rates blow up inside the exponential map; rates far off
         # the ground truth leave residual rotations near pi, outside log_so3
-        if "non-finite" in str(err) or "angles below pi" in str(err):
-            raise DivergenceError(epoch, str(err)) from err
-        raise
+        raise DivergenceError(epoch, str(err)) from err
     if not np.isfinite(out.data):
         raise DivergenceError(epoch)
     return out

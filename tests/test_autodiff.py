@@ -155,14 +155,13 @@ def test_gelu_grad():
 
 def test_dropout_identity_cases():
     x = ad.Tensor(np.ones(10))
-    assert ad.dropout(x, 0.0, training=True) is x
-    assert ad.dropout(x, 0.5, training=False) is x
+    assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
 
 
 def test_dropout_zero_fraction():
     rng = np.random.default_rng(4)
     x = ad.Tensor(np.ones(1_000_000))
-    y = ad.dropout(x, 0.1, training=True, rng=rng)
+    y = ad.dropout(x, 0.1, rng)
     frac = np.mean(y.data == 0.0)
     assert abs(frac - 0.1) < 0.002
     # survivors are scaled by 1/(1-p)
@@ -172,7 +171,7 @@ def test_dropout_zero_fraction():
 def test_dropout_grad_matches_mask():
     rng = np.random.default_rng(5)
     x = ad.Tensor(np.ones(100), requires_grad=True)
-    y = ad.dropout(x, 0.3, training=True, rng=rng)
+    y = ad.dropout(x, 0.3, rng)
     y.sum().backward()
     np.testing.assert_array_equal(x.grad, (y.data != 0) / 0.7)
 
@@ -386,7 +385,6 @@ def test_batchnorm_train_normalizes():
 
 def test_batchnorm_eval_identity_with_unit_stats():
     state = ad.BatchNormState(3)
-    state.initialized = True
     x = np.random.default_rng(10).normal(size=(2, 3, 7))
     y = ad.batchnorm1d(ad.Tensor(x), ad.Tensor(np.ones(3)),
                        ad.Tensor(np.zeros(3)), state, training=False)
@@ -509,7 +507,7 @@ def _small_pipeline(rng_seed=18):
     m = ad.Tensor(np.eye(3) + 0.1 * rng.normal(size=(3, 3)), requires_grad=True)
     h = ad.conv1d_dilated(x, w, b, 2)
     h = ad.gelu(ad.batchnorm1d(h, gamma, beta, state, training=False))
-    h = ad.channel_affine(m, h) + h * 0.5 - 0.01
+    h = ad.channel_affine(m, h) + h * 0.5 + (-0.01)
     rots = ad.exp_so3(h[(0, slice(None), slice(0, 8))].transpose(1, 0) * 0.1)
     resid = ad.matmul(rots[0:4], rots[4:8].transpose(0, 2, 1))
     out = ad.huber(ad.log_so3(resid), 0.05).sum()

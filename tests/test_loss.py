@@ -57,7 +57,8 @@ def test_increment_loss_zero_for_perfect_prediction():
     rots = random_rotations(rng, 10) * 1.0
     # keep residual angles inside the log node's domain
     rots = so3.exp_so3(rng.normal(scale=0.3, size=(10, 3)))
-    val = loss.increment_loss(ad.Tensor(rots), rots, huber_delta=0.005)
+    val = loss.increment_loss(ad.Tensor(rots), rots, huber_delta=0.005,
+                              valid=np.ones(10, bool))
     assert abs(val.data) < 1e-20
 
 
@@ -68,7 +69,8 @@ def test_increment_loss_huber_branches():
                             (0.1, delta * (0.1 - 0.5 * delta))):
         gt = so3.exp_so3(np.array([[angle, 0.0, 0.0]]))
         pred = ad.Tensor(np.eye(3)[None])
-        val = loss.increment_loss(pred, gt, huber_delta=delta)
+        val = loss.increment_loss(pred, gt, huber_delta=delta,
+                                  valid=np.ones(1, bool))
         assert abs(val.data - expected) < 1e-12 * max(1.0, expected / 1e-6)
 
 
@@ -76,7 +78,7 @@ def test_increment_loss_masks_invalid_windows():
     delta = 0.005
     gt = np.stack([so3.exp_so3(np.array([0.1, 0, 0])), np.eye(3)])
     pred = ad.Tensor(np.tile(np.eye(3), (2, 1, 1)))
-    full = loss.increment_loss(pred, gt, delta)
+    full = loss.increment_loss(pred, gt, delta, valid=np.ones(2, bool))
     masked = loss.increment_loss(pred, gt, delta, valid=np.array([False, True]))
     assert abs(masked.data) < 1e-20
     assert full.data > 0

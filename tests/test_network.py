@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gyrodenoise import autodiff as ad
-from gyrodenoise import data, imu, network, so3
+from gyrodenoise import cli, data, imu, network, so3
 
 
 def test_param_count_matches_expected_total():
@@ -50,8 +50,6 @@ def test_zero_input_mode_is_constant_plus_linear():
     # make the collapse nontrivial: random calibration and final layer bias
     params.c_omega.data = np.eye(3) + 0.05 * rng.normal(size=(3, 3))
     params.conv_b[-1].data = rng.normal(size=3)
-    for s in params.bn_state:
-        s.initialized = True
     rf = params.config.receptive_field
     x = rng.normal(size=(1, 6, rf + 30))
     out = network.forward(params, x, training=False, zero_input=True).data[0]
@@ -74,7 +72,6 @@ def test_static_path_is_c_omega_plus_final_bias(monkeypatch):
     for s in params.bn_state:
         s.mean = rng.normal(size=s.mean.shape)
         s.var = rng.uniform(1e-4, 1e-2, size=s.var.shape)
-        s.initialized = True
 
     def no_cnn(*args, **kwargs):
         raise AssertionError("the static path must not run the CNN")
@@ -99,8 +96,6 @@ def test_receptive_field_probe():
     # nonzero final layer so outputs depend on the inputs
     params.conv_w[-1].data = rng.normal(size=params.conv_w[-1].data.shape)
     params.conv_b[-1].data = rng.normal(size=3)
-    for s in params.bn_state:
-        s.initialized = True
     rf = params.config.receptive_field
     t = rf + 10
     x = rng.normal(size=(1, 6, t))
@@ -140,7 +135,6 @@ def test_checkpoint_roundtrip(tmp_path):
     params.c_omega.data = np.eye(3) + 0.01 * rng.normal(size=(3, 3))
     params.conv_b[-1].data = rng.normal(size=3)
     params.bn_state[0].mean = rng.normal(size=16)
-    params.bn_state[0].initialized = True
     params.set_input_stats(rng.normal(size=6), np.abs(rng.normal(size=6)) + 1)
     path = tmp_path / "ckpt.json"
     network.save_checkpoint(path, params, extra={"epoch": 12})
@@ -149,7 +143,6 @@ def test_checkpoint_roundtrip(tmp_path):
     for (name, a), (_, b) in zip(params.trainable(), loaded.trainable()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
     np.testing.assert_array_equal(loaded.bn_state[0].mean, params.bn_state[0].mean)
-    assert loaded.bn_state[0].initialized
     np.testing.assert_array_equal(loaded.input_mean, params.input_mean)
 
 
@@ -177,20 +170,28 @@ def test_checkpoint_keeps_every_bit(tmp_path):
         got[name] += 1.0  # a writable copy, not a view of the payload
 
 
-def _write_version_1(path, params, extra):
-    """A checkpoint as version 1 wrote it: every array a JSON float list."""
+def _write_old_checkpoint(path, params, extra, version, **config):
+    """A checkpoint as versions 1 and 2 wrote it before the batchnorm
+    settings became constants: "config" holds bn_momentum and bn_eps, each
+    "bn_running" entry an "initialized" flag, and every array is a JSON
+    float list (version 1) or the base64 of its float64 values (version 2)."""
+    encode = {1: lambda a: a.ravel().tolist(),
+              2: lambda a: base64.b64encode(a.astype("<f8")).decode()}[version]
     payload = {
-        "version": 1,
-        "config": params.config.to_dict(),
+        "version": version,
+        "config": {"kernel_sizes": list(params.config.kernel_sizes),
+                   "dilations": list(params.config.dilations),
+                   "channels": list(params.config.channels),
+                   "dropout": params.config.dropout,
+                   "bn_momentum": 0.1, "bn_eps": 1e-5, **config},
         "input_mean": params.input_mean.tolist(),
         "input_std": params.input_std.tolist(),
         "tensors": {
-            name: {"shape": list(t.data.shape), "data": t.data.ravel().tolist()}
+            name: {"shape": list(t.data.shape), "data": encode(t.data)}
             for name, t in params.trainable()
         },
         "bn_running": [
-            {"mean": s.mean.tolist(), "var": s.var.tolist(),
-             "initialized": s.initialized}
+            {"mean": encode(s.mean), "var": encode(s.var), "initialized": True}
             for s in params.bn_state
         ],
         "extra": extra,
@@ -199,18 +200,42 @@ def _write_version_1(path, params, extra):
         json.dump(payload, f)
 
 
-def test_version_1_checkpoint_still_loads(tmp_path):
+def test_version_1_checkpoint_still_loads(tmp_path, capsys):
+    # files written before bn_momentum, bn_eps and initialized were dropped
+    # load bit for bit; one whose batchnorm settings differ from the model's
+    # constants is refused rather than loaded as another model
     params = _trained_like_params()
     params.set_input_stats(np.arange(6.0), np.arange(1.0, 7.0))
-    path = tmp_path / "v1.json"
-    _write_version_1(path, params, {"epoch": 3})
-    loaded, extra = network.load_checkpoint(path)
-    assert extra == {"epoch": 3}
-    want, got = _all_arrays(params), _all_arrays(loaded)
-    for name in want:
-        np.testing.assert_array_equal(got[name], want[name], name)
-    assert all(s.initialized for s in loaded.bn_state)
-    np.testing.assert_array_equal(loaded.input_std, params.input_std)
+    params.conv_b[0].data[:2] = [-0.0, 5e-324]
+    want = _all_arrays(params)
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.json"
+        _write_old_checkpoint(path, params, {"epoch": 3}, version)
+        loaded, extra = network.load_checkpoint(path)
+        assert extra == {"epoch": 3}
+        got = _all_arrays(loaded)
+        assert list(got) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name].view(np.int64),
+                                          want[name].view(np.int64), name)
+        np.testing.assert_array_equal(loaded.input_std, params.input_std)
+
+    n = 2000
+    seq = data.ImuSequence(np.arange(n) * 5_000_000, np.zeros((n, 3)),
+                           np.zeros((n, 3)))
+    data.write_imu_csv(tmp_path / "imu.csv", seq.t, seq.gyro, seq.acc)
+    data.write_gt_csv(tmp_path / "gt.csv", seq.t,
+                      np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)))
+    bad = tmp_path / "eps.json"
+    _write_old_checkpoint(bad, params, {}, 2, bn_eps=1e-3)
+    with pytest.raises(ValueError, match="bn_eps"):
+        network.load_checkpoint(bad)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--imu", str(tmp_path / "imu.csv"),
+                     "--gt", str(tmp_path / "gt.csv"), "--checkpoint", str(bad),
+                     "--methods", "raw", "--out", str(tmp_path / "rep")]) \
+        == cli.EXIT_DATA
+    assert "bn_eps" in capsys.readouterr().err
 
 
 def test_checkpoint_payload_length_and_version_are_checked(tmp_path):
@@ -242,7 +267,6 @@ def _trained_like_params(seed=8):
     for s in params.bn_state:
         s.mean = 0.1 * rng.normal(size=s.mean.shape)
         s.var = rng.uniform(0.5, 2.0, size=s.var.shape)
-        s.initialized = True
     return params
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gyrodenoise import autodiff as ad
-from gyrodenoise import data, imu, loss, network, trainer
+from gyrodenoise import data, imu, loss, network, so3, trainer
 
 
 # -- schedule ----------------------------------------------------------------------
@@ -204,6 +204,23 @@ def test_fit_divergence_reports_epoch():
     with pytest.raises(trainer.DivergenceError) as e:
         trainer.fit(train, None, params, quick_cfg(), small_loss())
     assert e.value.epoch == 0
+
+
+def test_divergence_is_told_by_error_type_not_message(monkeypatch):
+    # a data error whose text reads like divergence stays a data error
+    train = [make_dataset(seed=0)]
+
+    def data_error(*args, **kwargs):
+        raise ValueError("non-finite value; angles below pi")
+
+    monkeypatch.setattr(loss, "total_loss", data_error)
+    with pytest.raises(ValueError, match="non-finite value"):
+        trainer.fit(train, None, network.ModelParams(small_net(), seed=3),
+                    quick_cfg(), small_loss())
+    for raised in (lambda: so3.exp_so3(np.array([np.nan, 0.0, 0.0])),
+                   lambda: ad.log_so3(so3.exp_so3(np.array([3.14, 0.0, 0.0])))):
+        with pytest.raises(so3.DomainError):
+            raised()
 
 
 def test_fit_rejects_short_sequences():
