@@ -7,7 +7,7 @@ Subcommands:
   train      fit the full correction network
   integrate  run open-loop attitude integration with a checkpoint
   evaluate   compute AOE/ROE for the baseline methods and write reports
-  report     rebuild the report files from summary.json and roe.csv
+  report     rebuild the report files from summary.json and roe.npy
 
 Exit codes: 0 success, 1 usage error, 2 data validation error,
 3 numerical divergence.

@@ -9,7 +9,9 @@ reported in degrees.
 
 The ROE windows of one distance bucket are held as columns (RoeWindows:
 one array per field, one entry per window) from `roe` through the report
-summaries to roe.csv, which writes each block of rows with one template.
+summaries to roe.npy, one structured array of every window's fields. The
+method, sequence and bucket of its rows come from the per-bucket counts in
+summary.json.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from . import data, network, so3
 
 DEFAULT_DISTANCES = (7.0, 21.0, 35.0)
 METHODS = ("raw", "calibrated", "proposed", "zero")
+
+# roe.npy's record: the RoeWindows fields, in their units
+ROE_DTYPE = np.dtype([("start", "<i8"), ("end", "<i8"), ("distance", "<f8"),
+                      ("error_3d", "<f8"), ("error_yaw", "<f8")])
 
 
 @dataclass
@@ -186,24 +192,26 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
 # -- report files ------------------------------------------------------------------
 
 def write_reports(reports, outdir):
-    """Emit aoe.csv, roe.csv (one row per window), summary.json (AOE and ROE
-    quartiles per method and sequence) and an ROE box plot per distance."""
+    """Emit aoe.csv, roe.npy, summary.json (AOE and ROE quartiles and window
+    counts per method, sequence and bucket) and an ROE box plot per distance.
+
+    roe.npy is one ROE_DTYPE array (np.save, no pickle) with a row per
+    window: reports in summary.json order, each report's buckets sorted by
+    distance, so the summary's counts split it back into buckets.
+    """
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "aoe.csv"), "w") as f:
         f.write("method,sequence,aoe_3d_deg,aoe_yaw_deg\n")
         for r in reports:
             f.write(f"{r.method},{r.sequence},{r.aoe_3d:.17g},{r.aoe_yaw:.17g}\n")
-    with open(os.path.join(outdir, "roe.csv"), "w") as f:
-        f.write("method,sequence,target_m,start,end,"
-                "distance_m,error_3d_deg,error_yaw_deg\n")
-        for r in reports:
-            for dist, w in sorted(r.roe_samples.items()):
-                # '%.17g' % x and f"{x:.17g}" print the same digits
-                head = f"{r.method},{r.sequence},{dist:g},".replace("%", "%%")
-                row = head + "%d,%d,%.6g,%.17g,%.17g\n"
-                f.write("".join(map(row.__mod__, zip(
-                    w.start.tolist(), w.end.tolist(), w.distance.tolist(),
-                    w.error_3d.tolist(), w.error_yaw.tolist()))))
+    buckets = [w for r in reports for _, w in sorted(r.roe_samples.items())]
+    record = np.empty(sum(map(len, buckets)), dtype=ROE_DTYPE)
+    lo = 0
+    for w in buckets:
+        for name in ROE_DTYPE.names:
+            record[name][lo:lo + len(w)] = getattr(w, name)
+        lo += len(w)
+    np.save(os.path.join(outdir, "roe.npy"), record, allow_pickle=False)
     roes = [r.roe_summary() for r in reports]
     summary = {
         "summaries": [
@@ -222,31 +230,29 @@ def write_reports(reports, outdir):
 
 
 def load_reports(path):
-    """Reports from an evaluate run's summary.json and the roe.csv beside it;
-    window distances keep the 6 significant digits roe.csv holds."""
-    roe_path = os.path.join(os.path.dirname(path), "roe.csv")
-    rows = {}
-    with open(roe_path) as f:
-        f.readline()
-        for line in f:
-            head, target, a, b, d, e3, ey = line.rstrip("\n").rsplit(",", 6)
-            method, sequence = head.split(",", 1)
-            rows.setdefault((method, sequence, target), []).append(
-                (int(a), int(b), float(d), float(e3), float(ey)))
+    """Reports from an evaluate run's summary.json and the roe.npy beside
+    it, split into buckets by the summary's counts; ValueError when the
+    record's dtype or length does not match the summary."""
+    roe_path = os.path.join(os.path.dirname(path), "roe.npy")
     with open(path) as f:
         summaries = json.load(f)["summaries"]
+    try:
+        record = np.load(roe_path, allow_pickle=False)
+    except (ValueError, EOFError) as err:  # not an .npy file, or cut short
+        raise ValueError(f"{roe_path}: {err}") from None
+    if record.dtype != ROE_DTYPE or record.ndim != 1:
+        raise ValueError(f"{roe_path} holds a {record.ndim}-D {record.dtype} "
+                         f"array, not a 1-D {ROE_DTYPE} record")
+    counts = [stats["count"] for s in summaries for stats in s["roe"].values()]
+    if sum(counts) != len(record):
+        raise ValueError(f"{roe_path} holds {len(record)} windows, but {path} "
+                         f"counts {sum(counts)}")
+    cuts = np.cumsum(counts)[:-1]
+    columns = zip(*(np.split(record[name].copy(), cuts)
+                    for name in ROE_DTYPE.names))
     reports = []
     for s in summaries:
-        samples = {}
-        for d, stats in s["roe"].items():
-            got = rows.get((s["method"], s["sequence"], f"{float(d):g}"), [])
-            if len(got) != stats["count"]:
-                raise ValueError(f"{roe_path} does not match {path}")
-            a, b, dist, e3, ey = zip(*got) if got else ((),) * 5
-            samples[float(d)] = RoeWindows(
-                np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-                np.array(dist, dtype=float), np.array(e3, dtype=float),
-                np.array(ey, dtype=float))
+        samples = {float(d): RoeWindows(*next(columns)) for d in s["roe"]}
         reports.append(MetricsReport(s["method"], s["sequence"], s["aoe_3d"],
                                      s["aoe_yaw"], samples))
     return reports

@@ -271,22 +271,35 @@ def save_checkpoint(path, params: ModelParams, extra=None):
 
 
 def load_checkpoint(path):
-    """(ModelParams, extra) from a version 2 or a version 1 checkpoint."""
+    """(ModelParams, extra) from a version 2 or a version 1 checkpoint;
+    ValueError naming the key when the file lacks one."""
     with open(path) as f:
         payload = json.load(f)
+    try:
+        return _from_payload(payload)
+    except KeyError as err:
+        raise ValueError(f"checkpoint {path} has no key {err.args[0]!r}") from None
+
+
+def _from_payload(payload):
     version = payload.get("version")
     decode = {1: _from_list, CHECKPOINT_VERSION: _from_base64}.get(version)
     if decode is None:
         raise ValueError(f"unsupported checkpoint version {version}")
     params = ModelParams(NetConfig.from_dict(payload["config"]))
     named = dict(params.trainable())
-    for name, spec in payload["tensors"].items():
+    for name in payload["tensors"]:
         if name not in named:
             raise ValueError(f"unknown tensor {name!r} in checkpoint")
+    for name, tensor in named.items():
+        spec = payload["tensors"][name]
         arr = decode(spec["data"], spec["shape"], name)
-        if arr.shape != named[name].data.shape:
+        if arr.shape != tensor.data.shape:
             raise ValueError(f"shape mismatch for {name!r}")
-        named[name].data = arr
+        tensor.data = arr
+    if len(payload["bn_running"]) != len(params.bn_state):
+        raise ValueError(f"checkpoint has {len(payload['bn_running'])} "
+                         f"batchnorm layers, the model {len(params.bn_state)}")
     for i, (state, saved) in enumerate(zip(params.bn_state,
                                            payload["bn_running"])):
         state.mean = decode(saved["mean"], state.mean.shape, f"bn{i} mean")

@@ -19,6 +19,10 @@ LOG_NEAR_PI = np.pi - 1e-4
 
 ORTHO_TOL = 1e-6
 
+# integrate_increments projects the running attitude back onto SO(3) every
+# REPROJECT_EVERY samples.
+REPROJECT_EVERY = 512
+
 
 class InvalidRotationError(ValueError):
     """Raised when a matrix fails the SO(3) invariants beyond tolerance."""
@@ -198,10 +202,16 @@ def sequential_product(rots, reproject_every=512):
     return out
 
 
-def integrate_increments(r0, omegas, dt, reproject_every=512):
+def integrate_increments(r0, omegas, dt):
     """Open-loop integration R_n = R_{n-1} exp(omega_n dt).
 
     Returns the (M+1, 3, 3) stack R_0..R_M for M angular-rate samples.
+    The increments are cut into blocks of REPROJECT_EVERY (the last one
+    padded with identities), and all blocks' prefix products are built at
+    once, P[:, k] = P[:, k-1] @ inc[:, k]. Block b is then S_b @ P[b], with
+    S_0 = R_0 and S_{b+1} the projection onto SO(3) of the block's last
+    rotation, which bounds round-off drift; R_n is projected wherever n is
+    a multiple of REPROJECT_EVERY.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -211,15 +221,25 @@ def integrate_increments(r0, omegas, dt, reproject_every=512):
     bad = np.nonzero(~np.all(np.isfinite(omegas), axis=1))[0]
     if bad.size:
         raise ValueError(f"non-finite angular rate at index {int(bad[0])}")
-    incs = exp_so3(omegas * dt)
-    out = np.empty((len(omegas) + 1, 3, 3))
+    m = len(omegas)
+    out = np.empty((m + 1, 3, 3))
     out[0] = np.asarray(r0, dtype=float)
-    cur = out[0]
-    for i, inc in enumerate(incs):
-        cur = cur @ inc
-        if reproject_every and (i + 1) % reproject_every == 0:
-            cur = project_to_so3(cur)
-        out[i + 1] = cur
+    if m == 0:
+        return out
+    width = min(REPROJECT_EVERY, m)
+    n_blocks = -(-m // width)
+    inc = np.empty((n_blocks * width, 3, 3))
+    inc[:m] = exp_so3(omegas * dt)
+    inc[m:] = np.eye(3)
+    prefix = inc.reshape(n_blocks, width, 3, 3)
+    for k in range(1, width):
+        prefix[:, k] = np.matmul(prefix[:, k - 1], prefix[:, k])
+    start = out[0]
+    for b in range(n_blocks):
+        lo, hi = b * width, min((b + 1) * width, m)
+        out[lo + 1:hi + 1] = np.matmul(start, prefix[b, :hi - lo])
+        if hi % REPROJECT_EVERY == 0:
+            start = out[hi] = project_to_so3(out[hi])
     return out
 
 

@@ -169,7 +169,7 @@ def test_evaluate_and_report_roundtrip(tmp_path):
     regen = str(tmp_path / "regen")
     assert run("report", "--summary", os.path.join(rep, "summary.json"),
                "--out", regen) == 0
-    for name in ("aoe.csv", "roe.csv", "summary.json", "roe_boxplot.svg"):
+    for name in ("aoe.csv", "roe.npy", "summary.json", "roe_boxplot.svg"):
         with open(os.path.join(regen, name), "rb") as f:
             regenerated = f.read()
         with open(os.path.join(rep, name), "rb") as f:
@@ -427,6 +427,31 @@ def test_evaluate_on_truncated_checkpoint_is_data_error(tmp_path, capsys):
                "--checkpoint", str(ckpt), "--distances", "7",
                "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
     assert "checkpoint conv0.w" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop, message", [
+    (("config", "dropout"), "no key 'dropout'"),
+    (("input_std",), "no key 'input_std'"),
+    (("tensors", "conv0.w", "data"), "no key 'data'"),
+    (("tensors", "conv3.b"), "no key 'conv3.b'"),
+    (("bn_running", 3), "has 3 batchnorm layers, the model 4"),
+])
+def test_evaluate_on_checkpoint_missing_a_key_is_data_error(tmp_path, capsys,
+                                                             drop, message):
+    scene = synth_scene(tmp_path, duration=12.0)
+    ckpt = tmp_path / "ckpt.json"
+    network.save_checkpoint(ckpt, network.ModelParams())
+    payload = json.loads(ckpt.read_text())
+    node = payload
+    for key in drop[:-1]:
+        node = node[key]
+    del node[drop[-1]]
+    ckpt.write_text(json.dumps(payload))
+    assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+               "--gt", os.path.join(scene, "gt.csv"),
+               "--checkpoint", str(ckpt), "--distances", "7",
+               "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
 
 
 def test_integrate_matches_estimate_attitudes(tmp_path):

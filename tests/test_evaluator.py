@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from gyrodenoise import data, evaluator, imu, network, so3
+from gyrodenoise import cli, data, evaluator, imu, network, so3
 
 
 def make_scene(duration=30.0, seed=0, calib=None):
@@ -190,70 +191,99 @@ def test_run_baselines_ordering_and_roundtrip(tmp_path):
         assert list(got.roe_samples) == list(want.roe_samples)
         for dist, samples in want.roe_samples.items():
             loaded_w = got.roe_samples[dist]
-            for col in ("start", "end", "error_3d", "error_yaw"):
+            for col in ("start", "end", "distance", "error_3d", "error_yaw"):
                 assert (getattr(loaded_w, col).tolist()
                         == getattr(samples, col).tolist()), col
-            # roe.csv publishes the traveled distance at 6 digits
-            assert loaded_w.distance.tolist() == [
-                float(f"{d:.6g}") for d in samples.distance.tolist()]
     evaluator.write_reports(loaded, tmp_path / "again")
-    for name in ("aoe.csv", "roe.csv", "summary.json", "roe_boxplot.svg"):
+    for name in ("aoe.csv", "roe.npy", "summary.json", "roe_boxplot.svg"):
         assert ((tmp_path / "again" / name).read_bytes()
                 == (tmp_path / "out" / name).read_bytes()), name
     assert (tmp_path / "out" / "roe_boxplot.svg").read_text().startswith("<svg")
 
 
-def roe_csv_reference(reports):
-    """roe.csv as the per-row f-string writer printed it."""
-    lines = ["method,sequence,target_m,start,end,"
-             "distance_m,error_3d_deg,error_yaw_deg\n"]
-    for r in reports:
-        for dist, w in sorted(r.roe_samples.items()):
-            for a, b, d, e3, ey in zip(w.start.tolist(), w.end.tolist(),
-                                       w.distance.tolist(), w.error_3d.tolist(),
-                                       w.error_yaw.tolist()):
-                lines.append(f"{r.method},{r.sequence},{dist:g},{a},{b},"
-                             f"{d:.6g},{e3:.17g},{ey:.17g}\n")
-    return "".join(lines)
-
-
-def test_roe_csv_matches_per_row_fstring_writer(tmp_path):
+def test_roe_record_holds_the_report_columns_bit_for_bit(tmp_path):
     rng = np.random.default_rng(5)
 
     def windows(n):
         start = rng.integers(0, 10**9, size=n)
-        # distances .6g prints in exponent form among plain ones
         dist = np.concatenate([[1e-05, 123456789.0, 7.0000049, 0.1 + 0.2],
                                rng.uniform(6.65, 7.35, size=n - 4)])
-        err = rng.uniform(0.0, 30.0, size=(2, n)) / 3.0  # 17 digits
+        err = rng.uniform(0.0, 30.0, size=(2, n)) / 3.0
         err[:, :4] = [[0.0, 5e-324, 1e22, 1.0 / 3.0],
-                      [np.pi, 2.0**-40, 123456789.01234567, 1e-17]]
+                      [np.pi, 2.0**-40, 123456789.01234567, -0.0]]
         return evaluator.RoeWindows(start, start + 200, dist, err[0], err[1])
 
     empty = evaluator.RoeWindows(*(np.array([], dtype=dt) for dt in
                                    (np.int64, np.int64, float, float, float)))
     reports = [
         evaluator.MetricsReport("raw", "seq%d,a", 1.0, 2.0,
-                                {7.0: windows(50), 21.0: empty}),
+                                {21.0: empty, 7.0: windows(50)}),
         evaluator.MetricsReport("zero", "b", 0.1 + 0.2, 1e-300,
-                                {1e-05: windows(9), 35.5: windows(20)}),
+                                {35.5: windows(20), 1e-05: windows(9)}),
     ]
-    evaluator.write_reports(reports, tmp_path)
-    assert (tmp_path / "roe.csv").read_text() == roe_csv_reference(reports)
+    path = evaluator.write_reports(reports, tmp_path)
+    record = np.load(tmp_path / "roe.npy", allow_pickle=False)
+    assert record.dtype == evaluator.ROE_DTYPE and record.shape == (79,)
+    # reports in order, each one's buckets sorted by distance
+    blocks = [w for r in reports for _, w in sorted(r.roe_samples.items())]
+    assert [len(w) for w in blocks] == [50, 0, 9, 20]
+    with open(path) as f:
+        counts = [b["count"] for s in json.load(f)["summaries"]
+                  for b in s["roe"].values()]
+    assert counts == [50, 0, 9, 20]
+    for name in evaluator.ROE_DTYPE.names:
+        want = np.concatenate([getattr(w, name) for w in blocks])
+        assert record[name].tobytes() == want.astype(
+            evaluator.ROE_DTYPE[name]).tobytes(), name
+    loaded = evaluator.load_reports(path)
+    for got, want in zip(loaded, reports):
+        assert sorted(got.roe_samples) == sorted(want.roe_samples)
+        for dist, w in want.roe_samples.items():
+            for name in evaluator.ROE_DTYPE.names:
+                col = getattr(got.roe_samples[dist], name)
+                assert col.dtype == evaluator.ROE_DTYPE[name]
+                assert col.tobytes() == getattr(w, name).tobytes(), name
 
 
-def test_load_reports_rejects_roe_csv_that_does_not_match(tmp_path):
+def test_load_reports_rejects_roe_npy_that_does_not_match(tmp_path):
     gt = straight_line_gt(4000)
     seq = data.ImuSequence(gt.t, np.zeros((4000, 3)), np.zeros((4000, 3)))
     reports = evaluator.run_baselines([("flat", seq, gt)], None,
                                       distances=(7.0,), methods=("zero",))
     path = evaluator.write_reports(reports, tmp_path)
-    roe_csv = tmp_path / "roe.csv"
-    lines = roe_csv.read_text().splitlines(keepends=True)
-    for bad in ("", "".join(lines[:-1])):
-        roe_csv.write_text(bad)
-        with pytest.raises(ValueError, match="does not match"):
+    roe_npy = tmp_path / "roe.npy"
+    record = np.load(roe_npy)
+    assert len(record) > 0
+    # a record with a row fewer than the summary counts
+    np.save(roe_npy, record[:-1], allow_pickle=False)
+    with pytest.raises(ValueError, match=f"holds {len(record) - 1} windows"):
+        evaluator.load_reports(path)
+    # a file cut short, down to an empty one
+    np.save(roe_npy, record, allow_pickle=False)
+    whole = roe_npy.read_bytes()
+    for size in (len(whole) - 8, 20, 0):
+        roe_npy.write_bytes(whole[:size])
+        with pytest.raises(ValueError, match="roe.npy"):
             evaluator.load_reports(path)
+    # the right length with another field layout
+    wrong = np.zeros(len(record), dtype=[(n, "<f8")
+                                         for n in evaluator.ROE_DTYPE.names])
+    np.save(roe_npy, wrong, allow_pickle=False)
+    with pytest.raises(ValueError, match="not a 1-D"):
+        evaluator.load_reports(path)
+
+
+def test_report_without_roe_npy_is_data_error(tmp_path, capsys):
+    gt = straight_line_gt(4000)
+    seq = data.ImuSequence(gt.t, np.zeros((4000, 3)), np.zeros((4000, 3)))
+    reports = evaluator.run_baselines([("flat", seq, gt)], None,
+                                      distances=(7.0,), methods=("zero",))
+    path = evaluator.write_reports(reports, tmp_path / "rep")
+    # a directory written before roe.npy replaced roe.csv
+    os.rename(tmp_path / "rep" / "roe.npy", tmp_path / "rep" / "roe.csv")
+    assert cli.main(["report", "--summary", path,
+                     "--out", str(tmp_path / "regen")]) == cli.EXIT_DATA
+    assert "roe.npy" in capsys.readouterr().err
 
 
 def test_zero_motion_on_constant_attitude_scene():

@@ -257,6 +257,46 @@ def test_rot_to_quat_matches_per_matrix_reference_bit_for_bit():
 
 # --- integrate_increments ---------------------------------------------------
 
+def integrate_reference(r0, omegas, dt):
+    """One sample at a time, projecting the running product onto SO(3)
+    after every REPROJECT_EVERY-th increment."""
+    incs = so3.exp_so3(np.asarray(omegas, dtype=float) * dt)
+    out = np.empty((len(incs) + 1, 3, 3))
+    out[0] = r0
+    cur = out[0]
+    for i, inc in enumerate(incs):
+        cur = cur @ inc
+        if (i + 1) % so3.REPROJECT_EVERY == 0:
+            cur = so3.project_to_so3(cur)
+        out[i + 1] = cur
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 511, 512, 513, 1024, 1025, 12_000])
+def test_integrate_matches_per_sample_reference(m):
+    rng = np.random.default_rng(m)
+    r0 = so3.exp_so3(rng.normal(size=3))
+    omegas = rng.normal(size=(m, 3)) * 2.0
+    out = so3.integrate_increments(r0, omegas, 0.005)
+    assert out.shape == (m + 1, 3, 3)
+    np.testing.assert_array_equal(out[0], r0)
+    want = integrate_reference(r0, omegas, 0.005)
+    err = np.swapaxes(want, -1, -2) @ out
+    assert np.max(np.linalg.norm(so3.log_so3(err), axis=-1)) <= 1e-12
+
+
+def test_integrate_projects_at_multiples_of_the_period():
+    # round-off pulls the running product off SO(3) by a few 1e-15 over a
+    # period; the projection at each multiple of it brings that back down
+    rng = np.random.default_rng(11)
+    n = so3.REPROJECT_EVERY * np.arange(1, 9)
+    out = so3.integrate_increments(np.eye(3), rng.normal(size=(n[-1] + 7, 3)),
+                                   0.005)
+    gram = np.swapaxes(out, -1, -2) @ out - np.eye(3)
+    off = np.linalg.norm(gram, axis=(-2, -1))
+    assert np.median(off[n]) < 0.3 * np.median(off[n - 1])
+
+
 def test_integrate_zero_rates_stays_put():
     r0 = so3.exp_so3([0.1, 0.2, 0.3])
     out = so3.integrate_increments(r0, np.zeros((10, 3)), 0.005)
@@ -275,7 +315,7 @@ def test_integrate_matches_sequential_exp_product():
     rng = np.random.default_rng(6)
     omegas = rng.normal(size=(300, 3))
     dt = 0.005
-    out = so3.integrate_increments(np.eye(3), omegas, dt, reproject_every=0)
+    out = so3.integrate_increments(np.eye(3), omegas, dt)
     prod = so3.sequential_product(so3.exp_so3(omegas * dt), reproject_every=0)
     np.testing.assert_allclose(out[0].T @ out[-1], prod, atol=1e-12)
 
@@ -285,8 +325,8 @@ def test_integrate_left_equivariance():
     omegas = rng.normal(size=(100, 3)) * 0.3
     r0 = so3.exp_so3(rng.normal(size=3))
     dr = so3.exp_so3(rng.normal(size=3))
-    a = so3.integrate_increments(dr @ r0, omegas, 0.01, reproject_every=0)
-    b = so3.integrate_increments(r0, omegas, 0.01, reproject_every=0)
+    a = so3.integrate_increments(dr @ r0, omegas, 0.01)
+    b = so3.integrate_increments(r0, omegas, 0.01)
     np.testing.assert_allclose(a, dr @ b, atol=1e-12)
 
 
