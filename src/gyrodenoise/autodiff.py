@@ -6,11 +6,18 @@ convolution, batch normalization, GELU, dropout, Huber, and SO(3)
 exponential/logarithm nodes with closed-form differentials.
 
 Everything is float64. Tensors without requires_grad are treated as
-constants. Gradients accumulate across backward calls; callers zero them
+constants: backward computes no gradient for them, and their .grad stays
+None. Gradients accumulate across backward calls; callers zero them
 between optimization steps. The convolution is one BLAS GEMM per kernel
 tap in each direction, so its bits, like everything downstream, depend on
 the BLAS thread count as well as on the inputs; `one_blas_thread()` pins
 that count to one, and the command line runs inside it.
+
+The arithmetic kernels write their results into fresh buffers, so a result
+never aliases an input (`take`, `reshape` and `transpose` return numpy
+views, and `dropout` at p = 0 its input). Each kernel allocates only the
+buffers its backward keeps and works in place otherwise, with the operands
+and order of operations of the plain expressions, so the bits are theirs.
 
 Inside a `with no_grad():` block every op returns a constant Tensor: no
 parents and no backward closure, so nothing but the live outputs is kept in
@@ -52,9 +59,13 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        if not _needs_grad(self):
+            return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the bits of zeros_like(data) + g, the sign of zero included
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     # -- graph ----------------------------------------------------------
 
@@ -187,9 +198,14 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _recording(*ts):
+    """Whether an op on these tensors records a graph node."""
+    return _grad_enabled and _needs_grad(*ts)
+
+
 def _result(data, parents, backward_fn):
     live = tuple(p for p in parents if isinstance(p, Tensor))
-    if _grad_enabled and _needs_grad(*live):
+    if _recording(*live):
         return Tensor(data, _parents=live, _backward_fn=backward_fn)
     return Tensor(data)
 
@@ -201,8 +217,10 @@ def add(a, b):
     out_data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if _needs_grad(a):
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if _needs_grad(b):
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _result(out_data, (a, b), backward)
 
@@ -212,26 +230,56 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if _needs_grad(a):
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if _needs_grad(b):
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _result(out_data, (a, b), backward)
 
 
 def gelu(x):
     """GELU via the tanh approximation:
-    0.5 x (1 + tanh(0.7978845608 (x + 0.044715 x^3)))."""
+    0.5 x (1 + tanh(0.7978845608 (x + 0.044715 x^3))).
+
+    The forward keeps t = tanh(...) for the backward; each expression is
+    evaluated in its written order, in place in buffers of x's shape."""
     x = as_tensor(x)
     c = 0.7978845608
     a = 0.044715
-    u = c * (x.data + a * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
+    xd = x.data
+    # t = tanh(c * (x + a * (x * x * x)))
+    t = np.multiply(xd, xd, out=np.empty_like(xd))
+    t *= xd
+    t *= a
+    t += xd
+    t *= c
+    np.tanh(t, out=t)
+    # out = 0.5 * x * (1 + t)
+    out_data = np.multiply(0.5, xd, out=np.empty_like(xd))
+    if _recording(x):
+        out_data *= 1.0 + t
+    else:
+        t += 1.0
+        out_data *= t
 
     def backward(g):
-        du = c * (1.0 + 3.0 * a * x.data**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * du
-        x._accumulate(g * dx)
+        # du = c * (1 + 3 a x^2)
+        du = np.square(xd, out=np.empty_like(xd))
+        du *= 3.0 * a
+        du += 1.0
+        du *= c
+        # dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * du
+        dx = np.square(t, out=np.empty_like(xd))
+        np.subtract(1.0, dx, out=dx)
+        slope = np.multiply(0.5, xd, out=np.empty_like(xd))
+        slope *= dx
+        slope *= du
+        np.add(1.0, t, out=dx)
+        dx *= 0.5
+        dx += slope
+        dx *= g
+        x._accumulate(dx)
 
     return _result(out_data, (x,), backward)
 
@@ -309,13 +357,26 @@ def transpose(x, axes):
     return _result(out_data, (x,), backward)
 
 
+def _is_basic_index(idx):
+    """Whether x[idx] is a numpy basic index (slices, integers, Ellipsis,
+    None), which selects every element of x at most once."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(i is None or i is Ellipsis or isinstance(i, slice)
+               or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+               for i in items)
+
+
 def take(x, idx):
     x = as_tensor(x)
     out_data = x.data[idx]
+    basic = _is_basic_index(idx)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if basic:
+            gx[idx] += g
+        else:  # an advanced index may repeat elements
+            np.add.at(gx, idx, g)
         x._accumulate(gx)
 
     return _result(out_data, (x,), backward)
@@ -329,10 +390,12 @@ def matmul(a, b):
     out_data = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.data.shape))
-        b._accumulate(_unbroadcast(gb, b.data.shape))
+        if _needs_grad(a):
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            a._accumulate(_unbroadcast(ga, a.data.shape))
+        if _needs_grad(b):
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            b._accumulate(_unbroadcast(gb, b.data.shape))
 
     return _result(out_data, (a, b), backward)
 
@@ -343,8 +406,10 @@ def channel_affine(m, x):
     out_data = np.einsum("ij,bjt->bit", m.data, x.data)
 
     def backward(g):
-        m._accumulate(np.einsum("bit,bjt->ij", g, x.data))
-        x._accumulate(np.einsum("ij,bit->bjt", m.data, g))
+        if _needs_grad(m):
+            m._accumulate(np.einsum("bit,bjt->ij", g, x.data))
+        if _needs_grad(x):
+            x._accumulate(np.einsum("ij,bit->bjt", m.data, g))
 
     return _result(out_data, (m, x), backward)
 
@@ -361,7 +426,9 @@ def conv1d_dilated(x, w, b, dilation=1):
     g @ x_k.T for gw and W_k.T @ g for gx backward, where x_k is the input
     segment starting at k * dilation. The gw GEMM is the one
     np.tensordot(g, x_k, axes=([0, 2], [0, 2])) makes, with g's
-    (C_out, B*T') copy built once per call instead of once per tap.
+    (C_out, B*T') copy and x's (B, T, C_in) copy built once per call
+    instead of a transposing gather per tap. Each tap's forward and gx
+    product goes into one reused buffer before it is added, in tap order.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -379,24 +446,29 @@ def conv1d_dilated(x, w, b, dilation=1):
         )
 
     out_data = np.broadcast_to(b.data[None, :, None], (bsz, c_out, t_out)).copy()
+    tap = np.empty_like(out_data)
     for kk in range(k):
         seg = x.data[:, :, kk * dilation: kk * dilation + t_out]
-        out_data += np.matmul(w.data[:, :, kk], seg)
+        out_data += np.matmul(w.data[:, :, kk], seg, out=tap)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
-        g_rows = g.transpose(1, 0, 2).reshape(c_out, -1)
-        for kk in range(k):
-            seg = x.data[:, :, kk * dilation: kk * dilation + t_out]
-            gw[:, :, kk] = np.dot(g_rows,
-                                  seg.transpose(0, 2, 1).reshape(-1, c_in))
-            gx[:, :, kk * dilation: kk * dilation + t_out] += np.matmul(
-                w.data[:, :, kk].T, g
-            )
-        x._accumulate(gx)
-        w._accumulate(gw)
-        b._accumulate(g.sum(axis=(0, 2)))
+        if _needs_grad(w):
+            gw = np.zeros_like(w.data)
+            g_rows = g.transpose(1, 0, 2).reshape(c_out, -1)
+            x_rows = np.ascontiguousarray(x.data.transpose(0, 2, 1))
+            for kk in range(k):
+                seg = x_rows[:, kk * dilation: kk * dilation + t_out]
+                gw[:, :, kk] = np.dot(g_rows, seg.reshape(-1, c_in))
+            w._accumulate(gw)
+        if _needs_grad(x):
+            gx = np.zeros_like(x.data)
+            tap = np.empty((bsz, c_in, t_out))
+            for kk in range(k):
+                gx[:, :, kk * dilation: kk * dilation + t_out] += np.matmul(
+                    w.data[:, :, kk].T, g, out=tap)
+            x._accumulate(gx)
+        if _needs_grad(b):
+            b._accumulate(g.sum(axis=(0, 2)))
 
     return _result(out_data, (x, w, b), backward)
 
@@ -423,34 +495,46 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
     if training:
         if n < 2:
             raise ValueError("batchnorm training mode needs more than one sample")
-        mu = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        # np.mean and np.var's arithmetic, sharing x - mu
+        mu = x.data.sum(axis=(0, 2)) / n
+        xhat = np.subtract(x.data, mu[None, :, None])
+        out_data = np.square(xhat)
+        var = out_data.sum(axis=(0, 2)) / n
         state.mean = (1 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
         state.var = (1 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     else:
         # eval before any training step normalizes with the 0/1 defaults
-        mu = state.mean
         var = state.var
+        xhat = np.subtract(x.data, state.mean[None, :, None])
+        out_data = (np.empty_like(xhat) if _recording(x, gamma, beta)
+                    else xhat)
 
     ivar = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu[None, :, None]) * ivar[None, :, None]
-    out_data = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    xhat *= ivar[None, :, None]
+    # out = gamma * xhat + beta; in place in xhat when no backward keeps it
+    np.multiply(gamma.data[None, :, None], xhat, out=out_data)
+    out_data += beta.data[None, :, None]
 
     def backward(g):
-        gamma._accumulate(np.sum(g * xhat, axis=(0, 2)))
-        beta._accumulate(np.sum(g, axis=(0, 2)))
-        gxhat = g * gamma.data[None, :, None]
+        buf = np.multiply(g, xhat)
+        if _needs_grad(gamma):
+            gamma._accumulate(np.sum(buf, axis=(0, 2)))
+        if _needs_grad(beta):
+            beta._accumulate(np.sum(g, axis=(0, 2)))
+        if not _needs_grad(x):
+            return
+        gx = np.multiply(g, gamma.data[None, :, None])  # d loss / d xhat
         if training:
-            # standard batchnorm backward through the batch statistics
-            sum_gxhat = gxhat.sum(axis=(0, 2))
-            sum_gxhat_xhat = (gxhat * xhat).sum(axis=(0, 2))
-            gx = (ivar[None, :, None] / n) * (
-                n * gxhat
-                - sum_gxhat[None, :, None]
-                - xhat * sum_gxhat_xhat[None, :, None]
-            )
+            # standard batchnorm backward through the batch statistics:
+            # (ivar / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
+            sum_gxhat = gx.sum(axis=(0, 2))
+            sum_gxhat_xhat = np.multiply(gx, xhat, out=buf).sum(axis=(0, 2))
+            gx *= n
+            gx -= sum_gxhat[None, :, None]
+            gx -= np.multiply(xhat, sum_gxhat_xhat[None, :, None], out=buf)
+            gx *= (ivar / n)[None, :, None]
         else:
-            gx = gxhat * ivar[None, :, None]
+            gx *= ivar[None, :, None]
         x._accumulate(gx)
 
     return _result(out_data, (x, gamma, beta), backward)

@@ -74,20 +74,24 @@ def aoe(gt_rots, est_rots):
     return np.degrees(aoe_3d), np.degrees(aoe_yaw)
 
 
-def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
-    """Relative orientation errors over fixed-displacement windows.
+@dataclass
+class GtWindows:
+    """The ground truth of one distance bucket's ROE windows, one entry per
+    window that is within tolerance and clear of gaps."""
+    start: np.ndarray      # int64 index n of the window's first sample
+    end: np.ndarray        # int64 index g(n) of its last sample
+    distance: np.ndarray   # traveled meters
+    gt_inv: np.ndarray     # (W, 3, 3) transposed ground-truth increments
 
-    gt is a data.GroundTruth aligned to the estimate's sample clock (its
-    positions provide the arclength). For each start n the end g(n) is the
-    index whose traveled distance is nearest the target; windows off by
-    more than the tolerance, or touching a ground-truth gap, are skipped.
-    Returns {distance: RoeWindows}: the kept windows' start and end
-    indices n < g(n), their traveled distance in m, and their 3D and yaw
-    errors in degrees, in order of n.
+
+def roe_windows(gt, distances=DEFAULT_DISTANCES, tolerance=0.05):
+    """{distance: GtWindows} of a data.GroundTruth: the ROE windows every
+    estimate on its sample clock is scored over.
+
+    For each start n the end g(n) is the index whose traveled distance is
+    nearest the target; windows off by more than the tolerance, or touching
+    a ground-truth gap, are skipped.
     """
-    est_rots = np.asarray(est_rots, dtype=float)
-    if len(gt.rot) != len(est_rots):
-        raise ValueError("ground truth and estimate length mismatch")
     seg = np.linalg.norm(np.diff(gt.pos, axis=0), axis=-1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     out = {}
@@ -108,13 +112,39 @@ def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
         keep = (g > n) & (np.abs(traveled - dist) <= tolerance * dist)
         n, g, traveled = n[keep], g[keep], traveled[keep]
         d_gt, valid = data.gt_increments(gt, n, g)
-        n, g, traveled, d_gt = n[valid], g[valid], traveled[valid], d_gt[valid]
-        d_est = np.swapaxes(est_rots[n], -1, -2) @ est_rots[g]
-        e = np.swapaxes(d_gt, -1, -2) @ d_est
+        out[dist] = GtWindows(n[valid], g[valid], traveled[valid],
+                              np.swapaxes(d_gt[valid], -1, -2))
+    return out
+
+
+def roe_errors(windows, est_rots):
+    """{distance: RoeWindows} of an attitude track over roe_windows' windows,
+    in their order; est_rots must be on the ground truth's sample clock.
+    The start, end and distance columns are the windows' own arrays, shared
+    by every track scored over them."""
+    est_rots = np.asarray(est_rots, dtype=float)
+    out = {}
+    for dist, w in windows.items():
+        d_est = np.swapaxes(est_rots[w.start], -1, -2) @ est_rots[w.end]
+        e = w.gt_inv @ d_est
         err3d = np.degrees(np.linalg.norm(so3.log_so3(e), axis=-1))
         erryaw = np.degrees(np.abs(_yaw_of(e)))
-        out[dist] = RoeWindows(n, g, traveled, err3d, erryaw)
+        out[dist] = RoeWindows(w.start, w.end, w.distance, err3d, erryaw)
     return out
+
+
+def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
+    """Relative orientation errors over fixed-displacement windows.
+
+    gt is a data.GroundTruth aligned to the estimate's sample clock (its
+    positions provide the arclength); the windows are roe_windows'.
+    Returns {distance: RoeWindows}: the kept windows' start and end
+    indices n < g(n), their traveled distance in m, and their 3D and yaw
+    errors in degrees, in order of n.
+    """
+    if len(gt.rot) != len(est_rots):
+        raise ValueError("ground truth and estimate length mismatch")
+    return roe_errors(roe_windows(gt, distances, tolerance), est_rots)
 
 
 def percentiles(values):
@@ -124,7 +154,7 @@ def percentiles(values):
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return {q: float("nan") for q in qs}
-    return {q: float(np.percentile(arr, q)) for q in qs}
+    return dict(zip(qs, np.percentile(arr, qs).tolist()))
 
 
 @dataclass
@@ -181,10 +211,11 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
     reports = []
     for name, seq, gt in sorted(sequences, key=lambda x: x[0]):
         good = ~gt.gap_mask
+        windows = roe_windows(gt, distances)
         for method in methods:
             est = estimate_attitudes(method, seq, gt, params)
             a3, ay = aoe(gt.rot[good], est[good])
-            samples = roe(gt, est, distances)
+            samples = roe_errors(windows, est)
             reports.append(MetricsReport(method, name, a3, ay, samples))
     return reports
 

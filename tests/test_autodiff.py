@@ -558,3 +558,219 @@ def test_backward_works_after_no_grad():
     for leaf, ref_leaf in zip(leaves, ref_leaves):
         assert leaf.grad is not None and np.any(leaf.grad != 0)
         np.testing.assert_array_equal(leaf.grad, ref_leaf.grad)
+
+
+# -- bit-for-bit against the plain-expression kernels ---------------------------
+#
+# The kernels work in place in as few buffers as they can. These references
+# are the plain numpy expressions they replaced; forward values and every
+# gradient must match them in every bit, the sign of zero included. Each
+# backward is driven directly with an upstream gradient that holds zeros of
+# both signs, and a leaf's first gradient is zeros_like(leaf) + its share.
+
+def gelu_reference(x, g):
+    c, a = 0.7978845608, 0.044715
+    u = c * (x + a * (x * x * x))
+    t = np.tanh(u)
+    out = 0.5 * x * (1.0 + t)
+    du = c * (1.0 + 3.0 * a * x**2)
+    dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du
+    return out, [g * dx]
+
+
+def batchnorm_reference(x, gamma, beta, mean, var, training, g):
+    """Output, [gx, ggamma, gbeta] and the updated running (mean, var)."""
+    n = x.shape[0] * x.shape[2]
+    if training:
+        mu = x.mean(axis=(0, 2))
+        v = x.var(axis=(0, 2))
+        mean = (1 - ad.BN_MOMENTUM) * mean + ad.BN_MOMENTUM * mu
+        var = (1 - ad.BN_MOMENTUM) * var + ad.BN_MOMENTUM * v
+    else:
+        mu, v = mean, var
+    ivar = 1.0 / np.sqrt(v + ad.BN_EPS)
+    xhat = (x - mu[None, :, None]) * ivar[None, :, None]
+    out = gamma[None, :, None] * xhat + beta[None, :, None]
+    gxhat = g * gamma[None, :, None]
+    if training:
+        sum_gxhat = gxhat.sum(axis=(0, 2))
+        sum_gxhat_xhat = (gxhat * xhat).sum(axis=(0, 2))
+        gx = (ivar[None, :, None] / n) * (
+            n * gxhat - sum_gxhat[None, :, None]
+            - xhat * sum_gxhat_xhat[None, :, None])
+    else:
+        gx = gxhat * ivar[None, :, None]
+    grads = [gx, np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2))]
+    return out, grads, (mean, var)
+
+
+def conv_gemm_reference(x, w, b, dilation, g):
+    """Output and [gx, gw, gb] of the per-tap GEMM convolution."""
+    bsz, c_in, t = x.shape
+    c_out, _, k = w.shape
+    t_out = t - (k - 1) * dilation
+    out = np.broadcast_to(b[None, :, None], (bsz, c_out, t_out)).copy()
+    for kk in range(k):
+        seg = x[:, :, kk * dilation: kk * dilation + t_out]
+        out += np.matmul(w[:, :, kk], seg)
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    g_rows = g.transpose(1, 0, 2).reshape(c_out, -1)
+    for kk in range(k):
+        seg = x[:, :, kk * dilation: kk * dilation + t_out]
+        gw[:, :, kk] = np.dot(g_rows, seg.transpose(0, 2, 1).reshape(-1, c_in))
+        gx[:, :, kk * dilation: kk * dilation + t_out] += np.matmul(
+            w[:, :, kk].T, g)
+    return out, [gx, gw, g.sum(axis=(0, 2))]
+
+
+def take_reference(x, idx, g):
+    gx = np.zeros_like(x)
+    np.add.at(gx, idx, g)
+    return x[idx], [gx]
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def signed_zeros(arr, rng):
+    """arr with about a sixth of its entries set to +0.0 and a sixth to -0.0."""
+    arr = np.array(arr, dtype=float)
+    pick = rng.integers(0, 6, size=arr.shape)
+    arr[pick == 0] = 0.0
+    arr[pick == 1] = -0.0
+    return arr
+
+
+def check_kernel_bits(op, arrays, ref_out, ref_grads, g):
+    """op(*leaves) must give ref_out, and its backward, fed g, ref_grads."""
+    leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    y = op(*leaves)
+    assert_same_bits(y.data, ref_out)
+    y._backward_fn(g)
+    for leaf, want in zip(leaves, ref_grads):
+        assert_same_bits(leaf.grad, np.zeros_like(leaf.data) + want)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (1, 3, 1), (1, 4, 9), (6, 5, 13)])
+def test_gelu_bits_match_reference(shape):
+    rng = np.random.default_rng(40)
+    x = signed_zeros(rng.normal(scale=3.0, size=shape), rng)
+    g = signed_zeros(rng.normal(size=shape), rng)
+    out, grads = gelu_reference(x, g)
+    check_kernel_bits(ad.gelu, [x], out, grads, g)
+    with ad.no_grad():
+        assert_same_bits(ad.gelu(ad.Tensor(x)).data, out)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape", [(1, 4, 9), (6, 5, 1), (6, 3, 17)])
+def test_batchnorm_bits_match_reference(shape, training):
+    rng = np.random.default_rng(41)
+    c = shape[1]
+    x = signed_zeros(rng.normal(loc=0.5, scale=2.0, size=shape), rng)
+    x[:, 0] = 1.5  # a zero-variance channel normalizes to signed zeros
+    gamma = signed_zeros(rng.normal(size=c) + 1.0, rng)
+    beta = signed_zeros(rng.normal(size=c), rng)
+    g = signed_zeros(rng.normal(size=shape), rng)
+    mean0, var0 = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+    out, grads, running = batchnorm_reference(x, gamma, beta, mean0, var0,
+                                              training, g)
+    for record in (True, False):
+        state = ad.BatchNormState(c)
+        state.mean, state.var = mean0.copy(), var0.copy()
+        if record:
+            check_kernel_bits(
+                lambda *t: ad.batchnorm1d(*t, state, training),
+                [x, gamma, beta], out, grads, g)
+        else:
+            with ad.no_grad():
+                y = ad.batchnorm1d(ad.Tensor(x), ad.Tensor(gamma),
+                                   ad.Tensor(beta), state, training)
+            assert_same_bits(y.data, out)
+        assert_same_bits(state.mean, running[0])
+        assert_same_bits(state.var, running[1])
+
+
+@pytest.mark.parametrize("bsz,c_in,c_out,t,k,d", [
+    (1, 3, 4, 1, 1, 1), (1, 6, 16, 40, 7, 1), (6, 5, 3, 1, 1, 1),
+    (6, 16, 32, 60, 7, 4), (6, 4, 3, 30, 3, 2)])
+def test_conv1d_bits_match_reference(bsz, c_in, c_out, t, k, d):
+    rng = np.random.default_rng(42)
+    x = signed_zeros(rng.normal(size=(bsz, c_in, t)), rng)
+    w = signed_zeros(rng.normal(size=(c_out, c_in, k)), rng)
+    b = signed_zeros(rng.normal(size=c_out), rng)
+    g = signed_zeros(rng.normal(size=(bsz, c_out, t - (k - 1) * d)), rng)
+    out, grads = conv_gemm_reference(x, w, b, d, g)
+    check_kernel_bits(lambda *a: ad.conv1d_dilated(*a, d), [x, w, b], out,
+                      grads, g)
+
+
+@pytest.mark.parametrize("idx", [
+    slice(1, None, 2), 3, (Ellipsis, slice(0, 2)), (None, 1, slice(None)),
+    (np.int64(2), Ellipsis), [0, 0, 2], np.array([3, 1, 3]),
+    np.array([True, False, True, False, True])])
+def test_take_bits_match_reference(idx):
+    rng = np.random.default_rng(43)
+    x = signed_zeros(rng.normal(size=(5, 4)), rng)
+    g = signed_zeros(rng.normal(size=x[idx].shape), rng)
+    out, grads = take_reference(x, idx, g)
+    check_kernel_bits(lambda t: ad.take(t, idx), [x], out, grads, g)
+
+
+def test_take_repeated_advanced_index_sums_its_gradient():
+    x = ad.Tensor(np.arange(4.0), requires_grad=True)
+    (ad.take(x, [0, 0, 2]) * np.array([1.0, 2.0, 3.0])).sum().backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 0.0, 3.0, 0.0])
+    assert ad._is_basic_index((Ellipsis, slice(0, None, 2), 1, None))
+    for idx in ([0, 0, 2], np.array([1]), (slice(None), [1]), True):
+        assert not ad._is_basic_index(idx)
+
+
+def test_kernels_under_no_grad_neither_modify_nor_alias_their_input():
+    rng = np.random.default_rng(44)
+    x = rng.normal(size=(2, 4, 12))
+    w = rng.normal(size=(3, 4, 3))
+    b = rng.normal(size=3)
+    gamma, beta = rng.normal(size=4), rng.normal(size=4)
+    ops = [
+        lambda t: ad.gelu(t),
+        lambda t: ad.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta),
+                                 ad.BatchNormState(4), training=False),
+        lambda t: ad.batchnorm1d(t, ad.Tensor(gamma), ad.Tensor(beta),
+                                 ad.BatchNormState(4), training=True),
+        lambda t: ad.conv1d_dilated(t, ad.Tensor(w), ad.Tensor(b), 2),
+    ]
+    for op in ops:
+        t = ad.Tensor(x.copy())
+        with ad.no_grad():
+            y = op(t)
+        np.testing.assert_array_equal(t.data, x)
+        assert not np.shares_memory(y.data, t.data)
+    with ad.no_grad():
+        t = ad.Tensor(np.array(0.5))
+        y = ad.gelu(t)
+    assert t.data == 0.5 and not np.shares_memory(y.data, t.data)
+
+
+def test_constant_inputs_get_no_gradient():
+    rng = np.random.default_rng(45)
+    x3 = rng.normal(size=(2, 3, 9))
+    cases = [
+        (lambda p, c: p * c, (4,), (4,)),
+        (lambda p, c: ad.matmul(p, c), (2, 3, 3), (2, 3, 3)),
+        (lambda p, c: ad.matmul(c, p), (2, 3, 3), (2, 3, 3)),
+        (lambda p, c: ad.channel_affine(p, c), (3, 3), x3.shape),
+        (lambda p, c: ad.conv1d_dilated(c, p, ad.Tensor(np.zeros(2)), 2),
+         (2, 3, 3), x3.shape),
+    ]
+    for op, p_shape, c_shape in cases:
+        param = ad.Tensor(rng.normal(size=p_shape), requires_grad=True)
+        const = ad.Tensor(rng.normal(size=c_shape))
+        op(param, const).sum().backward()
+        assert const.grad is None
+        assert param.grad is not None and np.any(param.grad != 0)
+

@@ -294,3 +294,33 @@ def test_zero_motion_on_constant_attitude_scene():
     reports = evaluator.run_baselines([("flat", seq, gt_seq)], None,
                                       distances=(7.0,), methods=("zero",))
     assert reports[0].aoe_3d < 1e-12
+
+
+def test_run_baselines_roe_matches_roe_per_method_on_a_gappy_sequence():
+    # run_baselines builds the ground-truth windows once per sequence; each
+    # method's columns must be those of evaluator.roe on its own track
+    calib = imu.CalibParams(bias=np.array([0.02, -0.015, 0.01, 0, 0, 0]))
+    _, seq, gt = make_scene(duration=40.0, seed=4, calib=calib)
+    gaps = np.zeros(len(gt.t), dtype=bool)
+    gaps[7500:7600] = True
+    gt = data.GroundTruth(gt.t, gt.rot, gt.pos, gaps)
+    params = calibration_params(calib)
+    reports = evaluator.run_baselines([("gappy", seq, gt)], params)
+    assert [r.method for r in reports] == list(evaluator.METHODS)
+    for r in reports:
+        est = evaluator.estimate_attitudes(r.method, seq, gt, params)
+        want = evaluator.roe(gt, est)
+        assert list(r.roe_samples) == list(want)
+        for dist, w in want.items():
+            got = r.roe_samples[dist]
+            assert len(w) > 0
+            assert np.all((w.end < 7500) | (w.start > 7599))
+            for name in evaluator.ROE_DTYPE.names:
+                assert getattr(got, name).tobytes() == \
+                    getattr(w, name).tobytes(), (r.method, dist, name)
+
+
+def test_roe_checks_the_length_before_the_trajectory():
+    gt = straight_line_gt(100)
+    with pytest.raises(ValueError, match="length mismatch"):
+        evaluator.roe(gt, gt.rot[:-1], distances=(35.0,))

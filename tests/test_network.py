@@ -306,3 +306,19 @@ def test_integrate_corrected_peak_memory_12k_samples():
     finally:
         tracemalloc.stop()
     assert peak < 90e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_integrate_corrected_peak_memory_in_place_kernels():
+    # the same forward as above: conv, batchnorm and GELU without a graph
+    # allocate only their result buffers and one conv tap buffer, which
+    # puts the traced peak near 38 MB; plain-expression kernels build a
+    # fresh (1, C, 12,510) temporary per step and peak near 63 MB
+    seq, r0 = _scene_sequence(60.0, seed=10)
+    params = _trained_like_params()
+    tracemalloc.start()
+    try:
+        network.integrate_corrected(params, seq, r0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6, f"traced peak {peak / 1e6:.1f} MB"
