@@ -7,11 +7,15 @@ exponential/logarithm nodes with closed-form differentials.
 
 Everything is float64. Tensors without requires_grad are treated as
 constants: backward computes no gradient for them, and their .grad stays
-None. Gradients accumulate across backward calls; callers zero them
-between optimization steps. The convolution is one BLAS GEMM per kernel
-tap in each direction, so its bits, like everything downstream, depend on
-the BLAS thread count as well as on the inputs; `one_blas_thread()` pins
-that count to one, and the command line runs inside it.
+None. Gradients accumulate in the leaves (tensors made with
+requires_grad=True) across backward calls; callers zero them between
+optimization steps. `backward()` consumes the graph it walks, so every
+activation is freed during the backward pass: no intermediate keeps a
+.grad, and a second backward through a consumed node raises ValueError.
+The convolution is one BLAS GEMM per kernel tap in each direction, so its
+bits, like everything downstream, depend on the BLAS thread count as well
+as on the inputs; `one_blas_thread()` pins that count to one, and the
+command line runs inside it.
 
 The arithmetic kernels write their results into fresh buffers, so a result
 never aliases an input (`take`, `reshape` and `transpose` return numpy
@@ -38,8 +42,14 @@ import numpy as np
 from . import so3
 
 
+def _consumed(g):
+    raise ValueError("backward() through a graph that an earlier backward() "
+                     "consumed; build the result again")
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -70,6 +80,13 @@ class Tensor:
     # -- graph ----------------------------------------------------------
 
     def backward(self):
+        """Accumulate d self / d leaf into every leaf's .grad, consuming the
+        graph: nodes run in reverse topological order, and each
+        intermediate node drops its .grad, backward closure and parents
+        once its backward has run, so its activations are freed then.
+        The leaves keep their gradients and self keeps its .data. A second
+        backward() on self, or on a result sharing a consumed node, raises
+        ValueError."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo = []
@@ -88,9 +105,15 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward_fn is None:
+                continue  # a leaf or a constant
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            node.grad = None
+            node._backward_fn = _consumed
+            node._parents = ()
 
     # -- operators --------------------------------------------------------
 

@@ -19,6 +19,7 @@ relative output paths so batch runs can redirect everything at once.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -34,6 +35,12 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
 OUT_ENV = "GYRODENOISE_OUT"
+
+# glibc's mallopt parameters, and the largest block the heap serves: every
+# activation of a default training step is below it
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_MMAP_THRESHOLD = 32 * 1024 * 1024
 
 
 def _resolve_out(path):
@@ -290,7 +297,9 @@ def _run_fit(args, zero_input, defaults):
         "val_loss": result.best_val,
         "zero_input": zero_input,
     })
-    # the final state continues a run seamlessly under --resume
+    # the final parameters and batchnorm statistics only: --resume from
+    # this file starts Adam's moments afresh, reseeds the RNG and resets
+    # best_val, so it does not continue the run exactly
     network.save_checkpoint(os.path.join(outdir, "checkpoint_last.json"),
                             result.params, extra={
                                 "epoch": tcfg.epochs,
@@ -455,6 +464,23 @@ def build_parser():
     return parser
 
 
+def _keep_freed_memory():
+    """Under glibc, serve blocks up to 32 MiB from the heap and never trim
+    it, so memory that backward frees stays in the process for the next
+    step instead of going back to the kernel and being faulted in again.
+    Returns whether the policy was applied; with any other libc it is not."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # the parameters above are glibc's
+        mallopt = libc.mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, -1) == 1)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -462,6 +488,7 @@ def main(argv=None):
     except SystemExit as e:
         # argparse exits 0 for --help, 2 for usage errors
         return EXIT_OK if e.code == 0 else EXIT_USAGE
+    _keep_freed_memory()
     try:
         with autodiff.one_blas_thread():
             return args.func(args)

@@ -212,16 +212,35 @@ def forward(params: ModelParams, x, training=False, rng=None,
     return corrected
 
 
+# integrate_corrected runs the CNN over this many outputs at a time, so the
+# activations it holds are one block's, whatever the sequence length
+EVAL_BLOCK = 2048
+
+
 def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False):
     """Open-loop attitude from corrected rates (eval mode, padded forward).
 
     imu_seq is a data.ImuSequence, integrated over its measured sample
     period; returns an (M+1, 3, 3) rotation stack starting at r0.
+
+    The rates are those of one padded forward over the whole sequence,
+    bit for bit, computed in blocks of EVAL_BLOCK outputs: each block's
+    forward reads the receptive field of samples before it, with left zero
+    padding where that reaches before the first sample.
     """
     x = np.concatenate([imu_seq.gyro.T, imu_seq.acc.T], axis=0)[None]
     with ad.no_grad():
-        w_hat = forward(params, x, training=False, zero_input=zero_input,
-                        pad=True).data[0].T
+        if zero_input:
+            w_hat = forward(params, x, zero_input=True, pad=True).data[0].T
+        else:
+            rf = params.config.receptive_field
+            n = x.shape[2]
+            w_hat = np.empty((n, 3))
+            for s in range(0, n, EVAL_BLOCK):
+                e = min(s + EVAL_BLOCK, n)
+                lo = s - rf
+                out = forward(params, x[:, :, max(lo, 0):e], pad=lo < 0)
+                w_hat[s:e] = out.data[0, :, s - e:].T
     return so3.integrate_increments(r0, w_hat, imu_seq.dt)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -55,6 +56,37 @@ def test_gradient_accumulation_doubles():
     g1 = w.grad.copy()
     (w * x).sum().backward()
     np.testing.assert_array_equal(w.grad, 2 * g1)
+
+
+def test_backward_frees_intermediates_and_keeps_leaf_grads():
+    rng = np.random.default_rng(3)
+    w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    x = rng.normal(size=(4, 3))
+    h = ad.gelu(w * x)
+    h_ref = weakref.ref(h)
+    out = (h * h).sum()
+    want = out.data.copy()
+    del h
+    assert h_ref() is not None  # alive in out's graph
+    out.backward()
+    assert h_ref() is None
+    assert out.grad is None and out._parents == ()
+    np.testing.assert_array_equal(out.data, want)
+    assert w.grad is not None and np.any(w.grad != 0)
+
+
+def test_second_backward_through_consumed_graph_raises():
+    w = ad.Tensor(np.ones(3), requires_grad=True)
+    out = (w * 2.0).sum()
+    out.backward()
+    with pytest.raises(ValueError, match="consumed"):
+        out.backward()
+    # a result sharing an intermediate with a consumed graph
+    h = w * 3.0
+    h.sum().backward()
+    with pytest.raises(ValueError, match="consumed"):
+        (h * 2.0).sum().backward()
+    np.testing.assert_array_equal(w.grad, [5.0, 5.0, 5.0])
 
 
 def test_backward_requires_scalar():

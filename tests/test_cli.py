@@ -1,5 +1,6 @@
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -525,3 +526,19 @@ def test_commands_run_on_one_blas_thread(monkeypatch):
                         lambda args: seen.append(fns[0]()) or cli.EXIT_OK)
     assert cli.main(["report", "--summary", "unused.json"]) == cli.EXIT_OK
     assert seen == [1]
+
+
+def test_commands_keep_freed_memory(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+    monkeypatch.setattr(cli, "cmd_report", lambda args: cli.EXIT_OK)
+    assert cli.main(["report", "--summary", "unused.json"]) == cli.EXIT_OK
+    assert calls == [1]
+
+
+def test_keep_freed_memory_is_not_applied_without_mallopt(monkeypatch):
+    assert cli._keep_freed_memory() in (True, False)
+    # a libc that ctypes finds, but with no mallopt
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(
+        gnu_get_libc_version=lambda: b"2.35"))
+    assert cli._keep_freed_memory() is False

@@ -1,6 +1,6 @@
 import base64
+import contextlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,32 +293,51 @@ def test_integrate_corrected_matches_recorded_forward():
         np.testing.assert_array_equal(est, ref)
 
 
-def test_integrate_corrected_peak_memory_12k_samples():
+def test_integrate_corrected_peak_memory_12k_samples(traced_peak):
     # recording the autodiff graph for this forward peaks at ~140 MB traced;
     # without the graph the peak is ~63 MB
     seq, r0 = _scene_sequence(60.0, seed=10)
     assert len(seq) == 12_000
     params = _trained_like_params()
-    tracemalloc.start()
-    try:
-        network.integrate_corrected(params, seq, r0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: network.integrate_corrected(params, seq, r0))
     assert peak < 90e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
-def test_integrate_corrected_peak_memory_in_place_kernels():
+def test_integrate_corrected_peak_memory_in_place_kernels(traced_peak):
     # the same forward as above: conv, batchnorm and GELU without a graph
     # allocate only their result buffers and one conv tap buffer, which
     # puts the traced peak near 38 MB; plain-expression kernels build a
     # fresh (1, C, 12,510) temporary per step and peak near 63 MB
     seq, r0 = _scene_sequence(60.0, seed=10)
     params = _trained_like_params()
-    tracemalloc.start()
-    try:
-        network.integrate_corrected(params, seq, r0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: network.integrate_corrected(params, seq, r0))
     assert peak < 45e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_integrate_corrected_peak_memory_in_blocks(traced_peak):
+    # one forward over all 12,000 samples holds (1, 128, 12,000) activations
+    # and peaks near 38 MB traced; blocks of EVAL_BLOCK outputs hold one
+    # block's activations
+    seq, r0 = _scene_sequence(60.0, seed=10)
+    params = _trained_like_params()
+    peak = traced_peak(lambda: network.integrate_corrected(params, seq, r0))
+    assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("one_thread", [True, False])
+def test_integrate_corrected_blocks_match_one_padded_forward(one_thread):
+    # lengths on both sides of the receptive field (510) and of the block
+    # edges (EVAL_BLOCK = 2048)
+    assert network.EVAL_BLOCK == 2048
+    full, r0 = _scene_sequence(60.0, seed=11)
+    params = _trained_like_params()
+    blas = ad.one_blas_thread() if one_thread else contextlib.nullcontext()
+    with blas:
+        for n in (2, 510, 511, 2047, 2048, 2049, 4097, 12_000):
+            seq = full.window(0, n)
+            x = np.concatenate([seq.gyro.T, seq.acc.T], axis=0)[None]
+            with ad.no_grad():
+                w_hat = network.forward(params, x, pad=True).data[0].T
+            ref = so3.integrate_increments(r0, w_hat, seq.dt)
+            est = network.integrate_corrected(params, seq, r0)
+            np.testing.assert_array_equal(est, ref, err_msg=f"{n} samples")

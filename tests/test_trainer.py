@@ -286,3 +286,37 @@ def test_overfit_small_snippet():
     first = res.history[0][1]
     last = res.history[-1][1]
     assert last < 0.5 * first
+
+
+def test_two_default_training_steps_peak_memory(traced_peak):
+    # two steps as fit takes them, at the default B=6, T=1792. The first
+    # step's result stays bound through the second step's forward, as in
+    # fit's loop; when backward left its graph alive, that graph (every
+    # activation plus an intermediate .grad each) still sat in memory then,
+    # and the two steps peaked near 320 MB traced. Consuming the graph
+    # leaves one step's backward, near 150 MB, as the peak.
+    spec = imu.SyntheticScene(duration=55.0, rate=200.0)
+    scene = imu.generate_scene(spec, imu.CalibParams(), seed=12)
+    seq = data.ImuSequence(scene["imu_t_ns"], scene["gyro"], scene["acc"])
+    gt = data.align_ground_truth(
+        seq, data.GroundTruth(scene["imu_t_ns"], scene["rot"][:-1],
+                              scene["pos"][:-1]))
+    tcfg, lcfg = trainer.TrainConfig(), loss.LossConfig()
+    params = network.ModelParams(seed=0)
+    starts = [i * tcfg.window_len for i in range(tcfg.windows_per_batch)]
+    rng = np.random.default_rng(0)
+    state = trainer.AdamState()
+
+    def two_steps():
+        for _ in range(2):
+            batch = loss.make_batch(seq, gt, starts, tcfg.window_len,
+                                    params.config, lcfg)
+            batch.x = batch.x + rng.normal(size=batch.x.shape) * tcfg.augment_std
+            params.zero_grad()
+            out = loss.total_loss(params, batch, lcfg, training=True, rng=rng)
+            out.backward()
+            trainer.adam_step(params, state, 0.002, tcfg.weight_decay)
+        assert np.isfinite(out.data)
+
+    peak = traced_peak(two_steps)
+    assert peak < 200e6, f"traced peak {peak / 1e6:.1f} MB"
