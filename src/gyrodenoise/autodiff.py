@@ -27,8 +27,10 @@ Inside a `with no_grad():` block every op returns a constant Tensor: no
 parents and no backward closure, so nothing but the live outputs is kept in
 memory. The values are exactly those computed outside the block. The block
 restores the previous mode on exit, including on an exception, and blocks
-nest. Use it for forward passes that are only read through `.data`;
-`backward()` on a result built inside the block reaches no parameter.
+nest. The mode is per thread, so a block in one thread does not switch
+recording off, or back on, in another. Use it for forward passes that are
+only read through `.data`; `backward()` on a result built inside the block
+reaches no parameter.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import threading
 
 import numpy as np
 
@@ -145,19 +148,24 @@ class Tensor:
         return transpose(self, axes)
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    """Whether ops record a graph, kept per thread: every thread starts
+    enabled, and a no_grad block in one thread leaves the others' mode."""
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Ops inside the block record no autodiff graph."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Ops inside the block record no autodiff graph (in this thread)."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,7 +231,7 @@ def _unbroadcast(g, shape):
 
 def _recording(*ts):
     """Whether an op on these tensors records a graph node."""
-    return _grad_enabled and _needs_grad(*ts)
+    return _grad_mode.enabled and _needs_grad(*ts)
 
 
 def _result(data, parents, backward_fn):

@@ -40,6 +40,7 @@ OUT_ENV = "GYRODENOISE_OUT"
 # activation of a default training step is below it
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _HEAP_MMAP_THRESHOLD = 32 * 1024 * 1024
 
 
@@ -468,7 +469,10 @@ def _keep_freed_memory():
     """Under glibc, serve blocks up to 32 MiB from the heap and never trim
     it, so memory that backward frees stays in the process for the next
     step instead of going back to the kernel and being faulted in again.
-    Returns whether the policy was applied; with any other libc it is not."""
+    Threads share that one heap (one arena): what evaluate's worker thread
+    allocates reuses memory the main thread freed, instead of growing an
+    arena of its own. Returns whether the policy was applied; with any
+    other libc it is not."""
     try:
         libc = ctypes.CDLL(None)
         libc.gnu_get_libc_version  # the parameters above are glibc's
@@ -478,7 +482,8 @@ def _keep_freed_memory():
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
     return (mallopt(_M_MMAP_THRESHOLD, _HEAP_MMAP_THRESHOLD) == 1
-            and mallopt(_M_TRIM_THRESHOLD, -1) == 1)
+            and mallopt(_M_TRIM_THRESHOLD, -1) == 1
+            and mallopt(_M_ARENA_MAX, 1) == 1)
 
 
 def main(argv=None):

@@ -213,8 +213,10 @@ def forward(params: ModelParams, x, training=False, rng=None,
 
 
 # integrate_corrected runs the CNN over this many outputs at a time, so the
-# activations it holds are one block's, whatever the sequence length
-EVAL_BLOCK = 2048
+# activations it holds are one block's, whatever the sequence length; at
+# 1024 the widest layer's (1, 128, 1024) buffers (1 MiB each) fit in a
+# core's L2 cache
+EVAL_BLOCK = 1024
 
 
 def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False):

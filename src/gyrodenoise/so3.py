@@ -207,9 +207,10 @@ def integrate_increments(r0, omegas, dt):
 
     Returns the (M+1, 3, 3) stack R_0..R_M for M angular-rate samples.
     The increments are cut into blocks of REPROJECT_EVERY (the last one
-    padded with identities), and all blocks' prefix products are built at
-    once, P[:, k] = P[:, k-1] @ inc[:, k]. Block b is then S_b @ P[b], with
-    S_0 = R_0 and S_{b+1} the projection onto SO(3) of the block's last
+    padded with identities) and computed one block at a time, so exp_so3's
+    temporaries stay a block's size; all blocks' prefix products are built
+    at once, P[:, k] = P[:, k-1] @ inc[:, k]. Block b is then S_b @ P[b],
+    with S_0 = R_0 and S_{b+1} the projection onto SO(3) of the block's last
     rotation, which bounds round-off drift; R_n is projected wherever n is
     a multiple of REPROJECT_EVERY.
     """
@@ -229,7 +230,9 @@ def integrate_increments(r0, omegas, dt):
     width = min(REPROJECT_EVERY, m)
     n_blocks = -(-m // width)
     inc = np.empty((n_blocks * width, 3, 3))
-    inc[:m] = exp_so3(omegas * dt)
+    for lo in range(0, m, width):
+        hi = min(lo + width, m)
+        inc[lo:hi] = exp_so3(omegas[lo:hi] * dt)
     inc[m:] = np.eye(3)
     prefix = inc.reshape(n_blocks, width, 3, 3)
     for k in range(1, width):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -590,6 +591,70 @@ def test_backward_works_after_no_grad():
     for leaf, ref_leaf in zip(leaves, ref_leaves):
         assert leaf.grad is not None and np.any(leaf.grad != 0)
         np.testing.assert_array_equal(leaf.grad, ref_leaf.grad)
+
+
+def test_no_grad_mode_is_per_thread():
+    # first enters, second enters, first leaves, second leaves: with one
+    # mode for the process, first's exit would switch recording back on
+    # inside second's block, and second's exit would leave it off for good
+    w = ad.Tensor(np.ones(3), requires_grad=True)
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    recording = {}
+
+    def first():
+        with ad.no_grad():
+            first_in.set()
+            second_in.wait(10)
+            recording["first, inside"] = (w * 2.0)._backward_fn is not None
+        recording["first, after"] = (w * 2.0)._backward_fn is not None
+        first_out.set()
+
+    def second():
+        first_in.wait(10)
+        with ad.no_grad():
+            second_in.set()
+            first_out.wait(10)
+            recording["second, inside"] = (w * 2.0)._backward_fn is not None
+        recording["second, after"] = (w * 2.0)._backward_fn is not None
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert not any(t.is_alive() for t in threads)
+    assert recording == {"first, inside": False, "first, after": True,
+                         "second, inside": False, "second, after": True}
+    assert (w * 2.0)._backward_fn is not None
+
+
+def test_no_grad_mode_holds_under_thread_switching():
+    # more threads than cores, switching every microsecond: each thread
+    # must see its own mode on every pass
+    w = ad.Tensor(np.ones(3), requires_grad=True)
+    wrong = []
+
+    def churn():
+        for _ in range(300):
+            with ad.no_grad():
+                if (w * 2.0)._backward_fn is not None:
+                    wrong.append("recorded inside no_grad")
+            if (w * 2.0)._backward_fn is None:
+                wrong.append("not recorded outside no_grad")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert (w * 2.0)._backward_fn is not None
 
 
 # -- bit-for-bit against the plain-expression kernels ---------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 import types
 
 import numpy as np
@@ -453,6 +454,44 @@ def test_evaluate_on_checkpoint_missing_a_key_is_data_error(tmp_path, capsys,
                "--checkpoint", str(ckpt), "--distances", "7",
                "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("methods", ["raw,calibrated,proposed,zero",
+                                     "raw,proposed,zero"])
+def test_evaluate_with_nan_final_bias_is_data_error(tmp_path, capsys,
+                                                    methods):
+    # the proposed track fails on the worker thread (and calibrated, when
+    # asked for, on the main one); either way the command exits 2 with
+    # the serial run's message and leaves no thread behind
+    scene = synth_scene(tmp_path, duration=12.0)
+    params = network.ModelParams()
+    params.conv_b[-1].data = np.array([0.0, np.nan, 0.0])
+    ckpt = str(tmp_path / "nan.json")
+    network.save_checkpoint(ckpt, params)
+    threads = threading.active_count()
+    assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+               "--gt", os.path.join(scene, "gt.csv"), "--checkpoint", ckpt,
+               "--methods", methods, "--distances", "7",
+               "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
+    assert capsys.readouterr().err == \
+        "error: non-finite angular rate at index 0\n"
+    assert threading.active_count() == threads
+
+
+def test_evaluate_leaves_no_thread_behind(tmp_path):
+    scene = synth_scene(tmp_path, duration=12.0)
+    params = network.ModelParams()
+    params.conv_w[-1].data = np.full(params.conv_w[-1].shape, 1e-4)
+    ckpt = str(tmp_path / "ckpt.json")
+    network.save_checkpoint(ckpt, params)
+    threads = threading.active_count()
+    assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+               "--gt", os.path.join(scene, "gt.csv"), "--checkpoint", ckpt,
+               "--distances", "7", "--out", str(tmp_path / "rep")) == 0
+    assert threading.active_count() == threads
+    with open(tmp_path / "rep" / "aoe.csv") as f:
+        assert [row.split(",")[0] for row in f.read().splitlines()[1:]] == [
+            "raw", "calibrated", "proposed", "zero"]
 
 
 def test_integrate_matches_estimate_attitudes(tmp_path):

@@ -324,3 +324,91 @@ def test_roe_checks_the_length_before_the_trajectory():
     gt = straight_line_gt(100)
     with pytest.raises(ValueError, match="length mismatch"):
         evaluator.roe(gt, gt.rot[:-1], distances=(35.0,))
+
+
+# -- the proposed track on a worker thread ----------------------------------------
+
+def aoe_whole_array(gt_rots, est_rots):
+    """evaluator.aoe as it was, over the whole sequence at once."""
+    est = (gt_rots[0] @ est_rots[0].T) @ est_rots
+    e = np.swapaxes(gt_rots, -1, -2) @ est
+    v = so3.log_so3(e)
+    yaw = np.arctan2(e[..., 1, 0], e[..., 0, 0])
+    return (np.degrees(np.sqrt(np.mean(np.sum(v * v, axis=-1)))),
+            np.degrees(np.sqrt(np.mean(yaw * yaw))))
+
+
+def roe_errors_whole_array(windows, est_rots):
+    """evaluator.roe_errors as it was, every window of a bucket at once."""
+    out = {}
+    for dist, w in windows.items():
+        d_est = np.swapaxes(est_rots[w.start], -1, -2) @ est_rots[w.end]
+        e = w.gt_inv @ d_est
+        out[dist] = evaluator.RoeWindows(
+            w.start, w.end, w.distance,
+            np.degrees(np.linalg.norm(so3.log_so3(e), axis=-1)),
+            np.degrees(np.abs(np.arctan2(e[..., 1, 0], e[..., 0, 0]))))
+    return out
+
+
+def run_baselines_serial(sequences, params, methods):
+    """run_baselines as it was: one method after another on one thread."""
+    reports = []
+    for name, seq, gt in sorted(sequences, key=lambda x: x[0]):
+        good = ~gt.gap_mask
+        windows = evaluator.roe_windows(gt)
+        for method in methods:
+            est = evaluator.estimate_attitudes(method, seq, gt, params)
+            a3, ay = aoe_whole_array(gt.rot[good], est[good])
+            reports.append(evaluator.MetricsReport(
+                method, name, a3, ay, roe_errors_whole_array(windows, est)))
+    return reports
+
+
+def trained_like_params(calib, seed):
+    """calibration_params with a non-zero final conv layer, so that the
+    proposed track depends on the data through the whole network."""
+    params = calibration_params(calib)
+    rng = np.random.default_rng(seed)
+    params.conv_w[-1].data = rng.normal(0.0, 1e-3, params.conv_w[-1].shape)
+    return params
+
+
+@pytest.mark.parametrize("methods", [("raw", "proposed"), ("proposed",),
+                                     ("raw", "zero"), ("zero", "proposed",
+                                                       "calibrated", "raw")])
+def test_run_baselines_matches_a_serial_run_bit_for_bit(methods):
+    calib = imu.CalibParams(bias=np.array([0.02, -0.015, 0.01, 0, 0, 0]))
+    _, seq_a, gt_a = make_scene(duration=40.0, seed=8, calib=calib)
+    _, seq_b, gt_b = make_scene(duration=60.0, seed=9, calib=calib)
+    gaps = np.zeros(len(gt_b.t), dtype=bool)
+    gaps[11000:11150] = True
+    gt_b = data.GroundTruth(gt_b.t, gt_b.rot, gt_b.pos, gaps)
+    # given out of name order: reports come sorted by sequence name
+    sequences = [("b-gappy", seq_b, gt_b), ("a", seq_a, gt_a)]
+    params = trained_like_params(calib, seed=10)
+    got = evaluator.run_baselines(sequences, params, methods=methods)
+    want = run_baselines_serial(sequences, params, methods)
+    assert [(r.sequence, r.method) for r in got] == [
+        (name, m) for name in ("a", "b-gappy") for m in methods]
+    for g, w in zip(got, want):
+        assert (g.aoe_3d, g.aoe_yaw) == (w.aoe_3d, w.aoe_yaw), g.method
+        assert list(g.roe_samples) == list(w.roe_samples)
+        for dist, ww in w.roe_samples.items():
+            assert len(ww) > 0
+            for name in evaluator.ROE_DTYPE.names:
+                assert getattr(g.roe_samples[dist], name).tobytes() == \
+                    getattr(ww, name).tobytes(), (g.sequence, g.method, name)
+
+
+@pytest.mark.parametrize("methods, first", [
+    (("proposed", "calibrated"), "proposed"),
+    (("raw", "calibrated", "proposed"), "calibrated"),
+])
+def test_run_baselines_raises_the_first_failing_method_in_order(methods,
+                                                                 first):
+    # without a checkpoint both learned methods fail, one of them on the
+    # worker thread; the error is that of the first in the given order
+    _, seq, gt = make_scene(duration=40.0, seed=11)
+    with pytest.raises(ValueError, match=f"method '{first}' needs"):
+        evaluator.run_baselines([("s", seq, gt)], None, methods=methods)

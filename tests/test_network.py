@@ -327,13 +327,14 @@ def test_integrate_corrected_peak_memory_in_blocks(traced_peak):
 @pytest.mark.parametrize("one_thread", [True, False])
 def test_integrate_corrected_blocks_match_one_padded_forward(one_thread):
     # lengths on both sides of the receptive field (510) and of the block
-    # edges (EVAL_BLOCK = 2048)
-    assert network.EVAL_BLOCK == 2048
+    # edges (EVAL_BLOCK = 1024)
+    assert network.EVAL_BLOCK == 1024
     full, r0 = _scene_sequence(60.0, seed=11)
     params = _trained_like_params()
     blas = ad.one_blas_thread() if one_thread else contextlib.nullcontext()
     with blas:
-        for n in (2, 510, 511, 2047, 2048, 2049, 4097, 12_000):
+        for n in (2, 510, 511, 1023, 1024, 1025, 2047, 2048, 2049, 4097,
+                  12_000):
             seq = full.window(0, n)
             x = np.concatenate([seq.gyro.T, seq.acc.T], axis=0)[None]
             with ad.no_grad():
