@@ -358,6 +358,9 @@ def cmd_evaluate(args):
         if m not in evaluator.METHODS:
             raise data.ValidationError(f"unknown method {m!r}")
     distances = tuple(float(d) for d in args.distances.split(","))
+    if not all(0 < d < np.inf for d in distances):
+        raise data.ValidationError(
+            f"distances {args.distances!r}: each must be finite and positive")
     cfg = _read_config(args.config) if args.config else {}
     params = None
     if args.checkpoint:
@@ -452,8 +455,9 @@ def build_parser():
     p = sub.add_parser("evaluate", help="compute AOE/ROE reports")
     _add_dataset_flags(p)
     p.add_argument("--checkpoint")
-    p.add_argument("--methods", default="raw,calibrated,proposed,zero")
-    p.add_argument("--distances", default="7,21,35")
+    p.add_argument("--methods", default=",".join(evaluator.METHODS))
+    p.add_argument("--distances", default=",".join(
+        f"{d:g}" for d in evaluator.DEFAULT_DISTANCES))
     p.add_argument("--out", default="reports")
     p.set_defaults(func=cmd_evaluate)
 
@@ -500,7 +504,7 @@ def main(argv=None):
     except trainer.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -317,11 +317,11 @@ def write_reports(reports, outdir):
 
 def load_reports(path):
     """Reports from an evaluate run's summary.json and the roe.npy beside
-    it, split into buckets by the summary's counts; ValueError when the
-    record's dtype or length does not match the summary."""
+    it, split into buckets by the summary's counts; ValueError when either
+    file is malformed (a missing key is named) or they do not match."""
     roe_path = os.path.join(os.path.dirname(path), "roe.npy")
     with open(path) as f:
-        summaries = json.load(f)["summaries"]
+        summary = json.load(f)
     try:
         record = np.load(roe_path, allow_pickle=False)
     except (ValueError, EOFError) as err:  # not an .npy file, or cut short
@@ -329,18 +329,25 @@ def load_reports(path):
     if record.dtype != ROE_DTYPE or record.ndim != 1:
         raise ValueError(f"{roe_path} holds a {record.ndim}-D {record.dtype} "
                          f"array, not a 1-D {ROE_DTYPE} record")
-    counts = [stats["count"] for s in summaries for stats in s["roe"].values()]
-    if sum(counts) != len(record):
-        raise ValueError(f"{roe_path} holds {len(record)} windows, but {path} "
-                         f"counts {sum(counts)}")
-    cuts = np.cumsum(counts)[:-1]
-    columns = zip(*(np.split(record[name].copy(), cuts)
-                    for name in ROE_DTYPE.names))
-    reports = []
-    for s in summaries:
-        samples = {float(d): RoeWindows(*next(columns)) for d in s["roe"]}
-        reports.append(MetricsReport(s["method"], s["sequence"], s["aoe_3d"],
-                                     s["aoe_yaw"], samples))
+    try:
+        summaries = summary["summaries"]
+        counts = [stats["count"] for s in summaries
+                  for stats in s["roe"].values()]
+        if sum(counts) != len(record):
+            raise ValueError(f"{roe_path} holds {len(record)} windows, but "
+                             f"{path} counts {sum(counts)}")
+        cuts = np.cumsum(counts)[:-1]
+        columns = zip(*(np.split(record[name].copy(), cuts)
+                        for name in ROE_DTYPE.names))
+        reports = []
+        for s in summaries:
+            samples = {float(d): RoeWindows(*next(columns)) for d in s["roe"]}
+            reports.append(MetricsReport(s["method"], s["sequence"],
+                                         s["aoe_3d"], s["aoe_yaw"], samples))
+    except KeyError as err:
+        raise ValueError(f"summary {path} has no key {err.args[0]!r}") from None
+    except TypeError as err:
+        raise ValueError(f"summary {path} is malformed: {err}") from None
     return reports
 
 

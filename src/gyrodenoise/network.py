@@ -10,18 +10,15 @@ A checkpoint is one JSON object: "version" (2), "config" (NetConfig),
 "data": ...}} in trainable() order), "bn_running" ([{"mean", "var"}] per
 batchnorm layer) and "extra". Every "data", "mean" and "var" is the base64
 of the values as little-endian float64 in C order, so a load gives back
-every bit, the sign of zero included. Version 1 files, which hold those
-arrays as JSON float lists, are still read. Older files also carry
-"bn_momentum" and "bn_eps" in "config" and "initialized" per batchnorm
-layer; the flag is ignored, and a setting other than autodiff's
-BN_MOMENTUM or BN_EPS is refused.
+every bit, the sign of zero included. Any other version, or a "config"
+key that is not a NetConfig field, is refused.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -58,23 +55,13 @@ class NetConfig:
         return sum((k - 1) * d
                    for k, d in zip(self.kernel_sizes, self.dilations))
 
-    def to_dict(self):
-        return {
-            "kernel_sizes": list(self.kernel_sizes),
-            "dilations": list(self.dilations),
-            "channels": list(self.channels),
-            "dropout": self.dropout,
-        }
-
     @classmethod
     def from_dict(cls, d):
-        # checkpoints written before batchnorm's settings became constants
-        # record them; one that records other values is another model
-        for key, value in (("bn_momentum", ad.BN_MOMENTUM),
-                           ("bn_eps", ad.BN_EPS)):
-            if d.get(key, value) != value:
-                raise ValueError(f"checkpoint config {key} = {d[key]!r}, but "
-                                 f"the model's batchnorm uses {value!r}")
+        # batchnorm's momentum and eps are autodiff constants, not config keys
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("unknown checkpoint config key "
+                             + ", ".join(map(repr, unknown)))
         return cls(
             kernel_sizes=tuple(d["kernel_sizes"]),
             dilations=tuple(d["dilations"]),
@@ -164,13 +151,12 @@ def count_breakdown(params: ModelParams):
 
 
 def forward(params: ModelParams, x, training=False, rng=None,
-            zero_input=False, pad=False):
+            zero_input=False):
     """Corrected gyro from a raw 6-channel window.
 
     x: (B, 6, T) float array with gyro in channels 0..2 (rad/s) and
     accelerometer in channels 3..5 (m/s^2). Returns a Tensor (B, 3, T')
-    with T' = T - receptive_field, or T' = T when pad=True (left zero
-    padding; the first receptive_field outputs then depend on the padding).
+    with T' = T - receptive_field: output n reads inputs n..n+rf of x.
     training=True with a non-zero dropout rate draws the masks from rng, a
     numpy Generator.
 
@@ -184,17 +170,14 @@ def forward(params: ModelParams, x, training=False, rng=None,
     bsz, c, t = x.shape
     if c != 6:
         raise ValueError(f"expected 6 input channels, got {c}")
-    if not pad and t < rf + 1:
+    if t < rf + 1:
         raise ValueError(f"window too short: {t} < receptive field + 1 = {rf + 1}")
 
-    gyro_raw = x[:, :3, :]
     if zero_input:
         # constant-in-time correction: a single valid output column suffices
         h = ad.Tensor(np.zeros((bsz, 6, rf + 1)))
     else:
         xs = (x - params.input_mean[None, :, None]) / params.input_std[None, :, None]
-        if pad:
-            xs = np.concatenate([np.zeros((bsz, 6, rf)), xs], axis=2)
         h = ad.Tensor(xs)
 
     for i in range(cfg.n_layers):
@@ -207,9 +190,7 @@ def forward(params: ModelParams, x, training=False, rng=None,
             if training and cfg.dropout > 0:
                 h = ad.dropout(h, cfg.dropout, rng)
 
-    gyro_out = gyro_raw if pad else gyro_raw[:, :, rf:]
-    corrected = ad.channel_affine(params.c_omega, ad.Tensor(gyro_out)) + h
-    return corrected
+    return ad.channel_affine(params.c_omega, ad.Tensor(x[:, :3, rf:])) + h
 
 
 # integrate_corrected runs the CNN over this many outputs at a time, so the
@@ -220,29 +201,29 @@ EVAL_BLOCK = 1024
 
 
 def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False):
-    """Open-loop attitude from corrected rates (eval mode, padded forward).
+    """Open-loop attitude from corrected rates (eval mode).
 
     imu_seq is a data.ImuSequence, integrated over its measured sample
     period; returns an (M+1, 3, 3) rotation stack starting at r0.
 
-    The rates are those of one padded forward over the whole sequence,
-    bit for bit, computed in blocks of EVAL_BLOCK outputs: each block's
-    forward reads the receptive field of samples before it, with left zero
-    padding where that reaches before the first sample.
+    The CNN reads the recording behind receptive_field columns of
+    params.input_mean, which standardise to +0.0 (zero padding), in blocks
+    of EVAL_BLOCK outputs, each a valid forward.
     """
-    x = np.concatenate([imu_seq.gyro.T, imu_seq.acc.T], axis=0)[None]
+    rf = params.config.receptive_field
+    n = len(imu_seq)
+    x = np.empty((1, 6, rf + n))
+    x[0, :, :rf] = params.input_mean[:, None]
+    x[0, :3, rf:] = imu_seq.gyro.T
+    x[0, 3:, rf:] = imu_seq.acc.T
     with ad.no_grad():
         if zero_input:
-            w_hat = forward(params, x, zero_input=True, pad=True).data[0].T
+            w_hat = forward(params, x, zero_input=True).data[0].T
         else:
-            rf = params.config.receptive_field
-            n = x.shape[2]
             w_hat = np.empty((n, 3))
             for s in range(0, n, EVAL_BLOCK):
                 e = min(s + EVAL_BLOCK, n)
-                lo = s - rf
-                out = forward(params, x[:, :, max(lo, 0):e], pad=lo < 0)
-                w_hat[s:e] = out.data[0, :, s - e:].T
+                w_hat[s:e] = forward(params, x[:, :, s:e + rf]).data[0].T
     return so3.integrate_increments(r0, w_hat, imu_seq.dt)
 
 
@@ -266,15 +247,10 @@ def _from_base64(text, shape, what):
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
-def _from_list(values, shape, what):
-    """A float array of the given shape from a version 1 list of floats."""
-    return np.array(values, dtype=float).reshape(shape)
-
-
 def save_checkpoint(path, params: ModelParams, extra=None):
     payload = {
         "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "input_mean": params.input_mean.tolist(),
         "input_std": params.input_std.tolist(),
         "tensors": {
@@ -292,38 +268,42 @@ def save_checkpoint(path, params: ModelParams, extra=None):
 
 
 def load_checkpoint(path):
-    """(ModelParams, extra) from a version 2 or a version 1 checkpoint;
-    ValueError naming the key when the file lacks one."""
+    """(ModelParams, extra) from a checkpoint; ValueError when the file is
+    not one (a JSON object of this layout), naming a missing key."""
     with open(path) as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint {path} is not a JSON object")
+    version = payload.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
     try:
-        return _from_payload(payload)
+        params = ModelParams(NetConfig.from_dict(payload["config"]))
+        named = dict(params.trainable())
+        for name in payload["tensors"]:
+            if name not in named:
+                raise ValueError(f"unknown tensor {name!r} in checkpoint")
+        for name, tensor in named.items():
+            spec = payload["tensors"][name]
+            arr = _from_base64(spec["data"], spec["shape"], name)
+            if arr.shape != tensor.data.shape:
+                raise ValueError(f"shape mismatch for {name!r}")
+            tensor.data = arr
+        bn_running = payload["bn_running"]
+        if len(bn_running) != len(params.bn_state):
+            raise ValueError(f"checkpoint has {len(bn_running)} batchnorm "
+                             f"layers, the model {len(params.bn_state)}")
+        for i, (state, saved) in enumerate(zip(params.bn_state, bn_running)):
+            state.mean = _from_base64(saved["mean"], state.mean.shape,
+                                      f"bn{i} mean")
+            state.var = _from_base64(saved["var"], state.var.shape,
+                                     f"bn{i} var")
+        params.set_input_stats(payload["input_mean"], payload["input_std"])
+        extra = payload.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError("extra is not a JSON object")
     except KeyError as err:
         raise ValueError(f"checkpoint {path} has no key {err.args[0]!r}") from None
-
-
-def _from_payload(payload):
-    version = payload.get("version")
-    decode = {1: _from_list, CHECKPOINT_VERSION: _from_base64}.get(version)
-    if decode is None:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    params = ModelParams(NetConfig.from_dict(payload["config"]))
-    named = dict(params.trainable())
-    for name in payload["tensors"]:
-        if name not in named:
-            raise ValueError(f"unknown tensor {name!r} in checkpoint")
-    for name, tensor in named.items():
-        spec = payload["tensors"][name]
-        arr = decode(spec["data"], spec["shape"], name)
-        if arr.shape != tensor.data.shape:
-            raise ValueError(f"shape mismatch for {name!r}")
-        tensor.data = arr
-    if len(payload["bn_running"]) != len(params.bn_state):
-        raise ValueError(f"checkpoint has {len(payload['bn_running'])} "
-                         f"batchnorm layers, the model {len(params.bn_state)}")
-    for i, (state, saved) in enumerate(zip(params.bn_state,
-                                           payload["bn_running"])):
-        state.mean = decode(saved["mean"], state.mean.shape, f"bn{i} mean")
-        state.var = decode(saved["var"], state.var.shape, f"bn{i} var")
-    params.set_input_stats(payload["input_mean"], payload["input_std"])
-    return params, payload.get("extra", {})
+    except TypeError as err:
+        raise ValueError(f"checkpoint {path} is malformed: {err}") from None
+    return params, extra

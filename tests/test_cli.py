@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from gyrodenoise import autodiff, cli, data, network
+from gyrodenoise import autodiff, cli, data, evaluator, network
 
 
 def run(*argv):
@@ -83,6 +83,62 @@ def test_evaluate_rejects_unknown_method(tmp_path):
     assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
                "--gt", os.path.join(scene, "gt.csv"),
                "--methods", "banana", "--out", str(tmp_path / "rep")) == 2
+
+
+# a directory where a file is expected, a JSON file of the wrong structure,
+# or a distance that is not finite and positive
+DIR = "<directory>"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("evaluate", "--imu", DIR),
+    ("evaluate", "--gt", DIR),
+    ("evaluate", "--checkpoint", DIR),
+    ("evaluate", "--config", DIR),
+    ("report", "--summary", DIR),
+    ("evaluate", "--checkpoint", "[]"),
+    ("report", "--summary", "{}"),
+    ("evaluate", "--distances", "0"),
+    ("evaluate", "--distances", "-7"),
+    ("evaluate", "--distances", "nan"),
+])
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys,
+                                                     command, flag, value):
+    scene = synth_scene(tmp_path, duration=2.0)
+    ckpt = str(tmp_path / "ckpt.json")
+    network.save_checkpoint(ckpt, network.ModelParams())
+    if command == "evaluate":
+        flags = {"--imu": os.path.join(scene, "imu.csv"),
+                 "--gt": os.path.join(scene, "gt.csv"),
+                 "--checkpoint": ckpt, "--distances": "7"}
+    else:
+        assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+                   "--gt", os.path.join(scene, "gt.csv"), "--methods", "raw",
+                   "--distances", "0.5", "--out", str(tmp_path / "rep")) == 0
+        flags = {"--summary": str(tmp_path / "rep" / "summary.json")}
+    if value == DIR:
+        value = str(tmp_path)
+    elif value.startswith(("[", "{")):
+        path = tmp_path / "rep" / "malformed.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(value)
+        value = str(path)
+    flags[flag] = value
+    argv = [command, *(f"{k}={v}" for k, v in flags.items()),
+            "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_evaluate_defaults_are_the_evaluators():
+    args = cli.build_parser().parse_args(["evaluate"])
+    assert args.methods == "raw,calibrated,proposed,zero"
+    assert args.distances == "7,21,35"
+    assert tuple(args.methods.split(",")) == evaluator.METHODS
+    assert tuple(float(d) for d in args.distances.split(",")) == \
+        evaluator.DEFAULT_DISTANCES
 
 
 # -- training workflows ------------------------------------------------------------
@@ -495,8 +551,6 @@ def test_evaluate_leaves_no_thread_behind(tmp_path):
 
 
 def test_integrate_matches_estimate_attitudes(tmp_path):
-    from gyrodenoise import evaluator
-
     scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,0,0")
     outdir = str(tmp_path / "run")
     assert run("train", *train_args(scene, outdir), "--epochs", "1") == 0

@@ -273,6 +273,24 @@ def test_load_reports_rejects_roe_npy_that_does_not_match(tmp_path):
         evaluator.load_reports(path)
 
 
+def test_load_reports_names_what_the_summary_lacks(tmp_path):
+    gt = straight_line_gt(4000)
+    seq = data.ImuSequence(gt.t, np.zeros((4000, 3)), np.zeros((4000, 3)))
+    reports = evaluator.run_baselines([("flat", seq, gt)], None,
+                                      distances=(7.0,), methods=("zero",))
+    path = evaluator.write_reports(reports, tmp_path)
+    with open(path) as f:
+        summary = json.load(f)
+    del summary["summaries"][0]["aoe_yaw"]
+    for text, message in (("{}", "has no key 'summaries'"),
+                          (json.dumps(summary), "has no key 'aoe_yaw'"),
+                          ("[]", "is malformed")):
+        with open(path, "w") as f:
+            f.write(text)
+        with pytest.raises(ValueError, match=f"summary .* {message}"):
+            evaluator.load_reports(path)
+
+
 def test_report_without_roe_npy_is_data_error(tmp_path, capsys):
     gt = straight_line_gt(4000)
     seq = data.ImuSequence(gt.t, np.zeros((4000, 3)), np.zeros((4000, 3)))

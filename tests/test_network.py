@@ -170,7 +170,7 @@ def test_checkpoint_keeps_every_bit(tmp_path):
         got[name] += 1.0  # a writable copy, not a view of the payload
 
 
-def _write_old_checkpoint(path, params, extra, version, **config):
+def _write_old_checkpoint(path, params, extra, version):
     """A checkpoint as versions 1 and 2 wrote it before the batchnorm
     settings became constants: "config" holds bn_momentum and bn_eps, each
     "bn_running" entry an "initialized" flag, and every array is a JSON
@@ -183,7 +183,7 @@ def _write_old_checkpoint(path, params, extra, version, **config):
                    "dilations": list(params.config.dilations),
                    "channels": list(params.config.channels),
                    "dropout": params.config.dropout,
-                   "bn_momentum": 0.1, "bn_eps": 1e-5, **config},
+                   "bn_momentum": 0.1, "bn_eps": 1e-5},
         "input_mean": params.input_mean.tolist(),
         "input_std": params.input_std.tolist(),
         "tensors": {
@@ -200,25 +200,18 @@ def _write_old_checkpoint(path, params, extra, version, **config):
         json.dump(payload, f)
 
 
-def test_version_1_checkpoint_still_loads(tmp_path, capsys):
-    # files written before bn_momentum, bn_eps and initialized were dropped
-    # load bit for bit; one whose batchnorm settings differ from the model's
-    # constants is refused rather than loaded as another model
+@pytest.mark.parametrize("version, message", [
+    (1, "unsupported checkpoint version 1"),
+    (2, "unknown checkpoint config key 'bn_eps', 'bn_momentum'"),
+], ids=["version-1", "batchnorm-settings"])
+def test_legacy_checkpoints_are_refused(tmp_path, capsys, version, message):
+    # version 1 float lists and the batchnorm settings that batchnorm's
+    # constants replaced are layouts no command writes
     params = _trained_like_params()
-    params.set_input_stats(np.arange(6.0), np.arange(1.0, 7.0))
-    params.conv_b[0].data[:2] = [-0.0, 5e-324]
-    want = _all_arrays(params)
-    for version in (1, 2):
-        path = tmp_path / f"v{version}.json"
-        _write_old_checkpoint(path, params, {"epoch": 3}, version)
-        loaded, extra = network.load_checkpoint(path)
-        assert extra == {"epoch": 3}
-        got = _all_arrays(loaded)
-        assert list(got) == list(want)
-        for name in want:
-            np.testing.assert_array_equal(got[name].view(np.int64),
-                                          want[name].view(np.int64), name)
-        np.testing.assert_array_equal(loaded.input_std, params.input_std)
+    path = tmp_path / f"v{version}.json"
+    _write_old_checkpoint(path, params, {"epoch": 3}, version)
+    with pytest.raises(ValueError, match=message):
+        network.load_checkpoint(path)
 
     n = 2000
     seq = data.ImuSequence(np.arange(n) * 5_000_000, np.zeros((n, 3)),
@@ -226,16 +219,26 @@ def test_version_1_checkpoint_still_loads(tmp_path, capsys):
     data.write_imu_csv(tmp_path / "imu.csv", seq.t, seq.gyro, seq.acc)
     data.write_gt_csv(tmp_path / "gt.csv", seq.t,
                       np.tile(np.eye(3), (n, 1, 1)), np.zeros((n, 3)))
-    bad = tmp_path / "eps.json"
-    _write_old_checkpoint(bad, params, {}, 2, bn_eps=1e-3)
-    with pytest.raises(ValueError, match="bn_eps"):
-        network.load_checkpoint(bad)
     capsys.readouterr()
     assert cli.main(["evaluate", "--imu", str(tmp_path / "imu.csv"),
-                     "--gt", str(tmp_path / "gt.csv"), "--checkpoint", str(bad),
-                     "--methods", "raw", "--out", str(tmp_path / "rep")]) \
-        == cli.EXIT_DATA
-    assert "bn_eps" in capsys.readouterr().err
+                     "--gt", str(tmp_path / "gt.csv"), "--checkpoint",
+                     str(path), "--methods", "raw",
+                     "--out", str(tmp_path / "rep")]) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda payload: [payload], "is not a JSON object"),
+    (lambda payload: {**payload, "tensors": []}, "is malformed"),
+    (lambda payload: {**payload, "config": 6}, "is malformed"),
+    (lambda payload: {**payload, "extra": []}, "extra is not a JSON object"),
+], ids=["list", "tensors-list", "config-number", "extra-list"])
+def test_checkpoint_of_another_structure_is_refused(tmp_path, edit, message):
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(path, network.ModelParams())
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message):
+        network.load_checkpoint(path)
 
 
 def test_checkpoint_payload_length_and_version_are_checked(tmp_path):
@@ -270,6 +273,42 @@ def _trained_like_params(seed=8):
     return params
 
 
+def _mean_padded(params, seq):
+    """The sequence's (1, 6, rf + n) network input behind rf columns of
+    params.input_mean, which standardise to +0.0: a valid forward over it
+    is a forward over the sequence with its standardised input left padded
+    with zeros."""
+    rf = params.config.receptive_field
+    pad = np.repeat(params.input_mean[:, None], rf, axis=1)
+    imu_rows = np.concatenate([seq.gyro.T, seq.acc.T])
+    return np.concatenate([pad, imu_rows], axis=1)[None]
+
+
+def test_mean_padding_standardises_to_positive_zero(monkeypatch):
+    # the first conv layer sees exactly +0.0 in the padded columns, the
+    # zeros a left zero padding of the standardised input would hold
+    seen = []
+    conv = ad.conv1d_dilated
+
+    def first_layer_input(x, w, b, dilation=1):
+        if x.data.shape[1] == 6:
+            seen.append(x.data)
+        return conv(x, w, b, dilation)
+
+    monkeypatch.setattr(ad, "conv1d_dilated", first_layer_input)
+    seq, _ = _scene_sequence(1.0, seed=12)
+    rng = np.random.default_rng(12)
+    params = _trained_like_params()
+    rf = params.config.receptive_field
+    for scale in (1e-6, 1.0, 1e6):
+        params.set_input_stats(scale * rng.normal(size=6),
+                               scale * rng.uniform(0.1, 10.0, size=6))
+        params.input_mean[0] = -0.0
+        network.forward(params, _mean_padded(params, seq))
+        padded = seen.pop()[:, :, :rf]
+        assert (padded == 0.0).all() and not np.signbit(padded).any(), scale
+
+
 def _scene_sequence(duration, seed):
     spec = imu.SyntheticScene(duration=duration, rate=200.0)
     scene = imu.generate_scene(spec, imu.CalibParams(), seed=seed)
@@ -282,9 +321,9 @@ def test_integrate_corrected_matches_recorded_forward():
     # the graph-recording forward
     seq, r0 = _scene_sequence(5.0, seed=9)
     params = _trained_like_params()
-    x = np.concatenate([seq.gyro.T, seq.acc.T], axis=0)[None]
+    x = _mean_padded(params, seq)
     for zero_input in (False, True):
-        out = network.forward(params, x, training=False, pad=True,
+        out = network.forward(params, x, training=False,
                               zero_input=zero_input)
         assert out._backward_fn is not None
         ref = so3.integrate_increments(r0, out.data[0].T, seq.dt)
@@ -336,9 +375,9 @@ def test_integrate_corrected_blocks_match_one_padded_forward(one_thread):
         for n in (2, 510, 511, 1023, 1024, 1025, 2047, 2048, 2049, 4097,
                   12_000):
             seq = full.window(0, n)
-            x = np.concatenate([seq.gyro.T, seq.acc.T], axis=0)[None]
+            x = _mean_padded(params, seq)
             with ad.no_grad():
-                w_hat = network.forward(params, x, pad=True).data[0].T
+                w_hat = network.forward(params, x).data[0].T
             ref = so3.integrate_increments(r0, w_hat, seq.dt)
             est = network.integrate_corrected(params, seq, r0)
             np.testing.assert_array_equal(est, ref, err_msg=f"{n} samples")
