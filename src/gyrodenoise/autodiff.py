@@ -17,6 +17,19 @@ bits, like everything downstream, depend on the BLAS thread count as well
 as on the inputs; `one_blas_thread()` pins that count to one, and the
 command line runs inside it.
 
+The command line also opens a compute lane (`compute_lane()`): one worker
+thread that takes half of the heavy kernels' numpy work while the thread
+that opened it does the other half, so a training step uses two cores.
+The convolution splits its forward by batch halves and runs its backward's
+gw and gx GEMMs side by side; GELU, dropout's multiply and every
+elementwise pass of batchnorm split by batch halves. A reduction is never
+split: each is the one call on the whole array that an inline run makes,
+and only batchnorm's backward runs two independent ones at the same time.
+Each kernel has one body; without the lane (library calls, other threads,
+kernels under LANE_MIN_SIZE elements) both halves run on the calling
+thread, so the bits are the same either way. Every autodiff decision stays
+on the calling thread, since grad mode is per thread.
+
 The arithmetic kernels write their results into fresh buffers, so a result
 never aliases an input (`take`, `reshape` and `transpose` return numpy
 views, and `dropout` at p = 0 its input). Each kernel allocates only the
@@ -208,6 +221,122 @@ def one_blas_thread():
         put(prev)
 
 
+# -- the compute lane -----------------------------------------------------------
+
+# kernels on fewer elements than this run both halves on the calling thread.
+# On a 2-vCPU Xeon a hand-off costs about 30 us, and a conv forward and
+# backward with a (6, 32, 481) output took 4.6 ms through the lane against
+# 3.7 ms inline. Handing off calibrate's widest layer, (6, 64, 385) or
+# 147,840 elements, saved nothing end to end over 10 benchmark pairs and
+# widened their spread, while train's narrowest, (6, 16, 1786) or 171,456
+# elements, took 13.6 ms through the lane against 16.7 ms inline for its
+# conv, batchnorm, GELU and dropout.
+LANE_MIN_SIZE = 150_000
+
+
+class _Lane:
+    """A worker thread that runs one closure while its owner runs another.
+    The thread starts at the first hand-off."""
+
+    def __init__(self):
+        self._go = threading.Lock()
+        self._go.acquire()
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._job = None
+        self._result = self._error = None
+        self._thread = None
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            try:
+                self._result = self._job()
+            except BaseException as err:
+                self._error = err
+            self._done.release()
+
+    def run(self, there, here):
+        """(there(), here()), with there() on the lane. Returns, or raises
+        what either raised (here's first), once both have finished."""
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, daemon=True,
+                                            name="autodiff-lane")
+            self._thread.start()
+        self._job = there
+        self._go.release()
+        try:
+            mine = here()
+        finally:
+            self._done.acquire()
+            theirs, error = self._result, self._error
+            self._job = self._result = self._error = None
+        if error is not None:
+            raise error
+        return theirs, mine
+
+    def close(self):
+        if self._thread is not None:
+            self._job = None
+            self._go.release()  # with no job: the thread returns
+            self._thread.join()
+
+
+class _OpenLane(threading.local):
+    """The lane this thread opened, kept per thread: no other thread's
+    kernels hand work to it."""
+    lane = None
+
+
+_open = _OpenLane()
+
+
+@contextlib.contextmanager
+def compute_lane():
+    """Inside the block, this thread's kernels hand half of their large
+    numpy passes to one worker thread, and the bits of every result stay
+    those of this thread doing all of it. Open it only with one BLAS thread
+    (`one_blas_thread()`), so that the GEMMs of the two threads share no
+    core. A block nested in an open one keeps that lane; the worker thread
+    is joined on exit."""
+    if _open.lane is not None:
+        yield
+        return
+    lane = _open.lane = _Lane()
+    try:
+        yield
+    finally:
+        _open.lane = None
+        lane.close()
+
+
+def _both(there, here, size):
+    """(there(), here()): there() on this thread's lane while here() runs
+    on this thread when a lane is open and size reaches LANE_MIN_SIZE, else
+    there() then here() on this thread. Run only numpy calls and local
+    closures this way, never an autodiff decision: grad mode is per
+    thread."""
+    lane = _open.lane
+    if lane is None or size < LANE_MIN_SIZE:
+        return there(), here()
+    return lane.run(there, here)
+
+
+def _halves(body, like):
+    """body(idx) for the first and the second half of the leading axis of
+    the array like (idx a slice), through _both; one body(...) when that
+    axis has fewer than two rows. Elementwise passes only: a reduction is
+    never split."""
+    n = like.shape[0] if like.ndim else 0
+    if n < 2:
+        body(...)
+        return
+    h = n // 2
+    _both(lambda: body(slice(0, h)), lambda: body(slice(h, n)), like.size)
+
+
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -274,42 +403,57 @@ def gelu(x):
     0.5 x (1 + tanh(0.7978845608 (x + 0.044715 x^3))).
 
     The forward keeps t = tanh(...) for the backward; each expression is
-    evaluated in its written order, in place in buffers of x's shape."""
+    evaluated in its written order, in place in buffers of x's shape, one
+    half of the leading axis at a time."""
     x = as_tensor(x)
     c = 0.7978845608
     a = 0.044715
     xd = x.data
-    # t = tanh(c * (x + a * (x * x * x)))
-    t = np.multiply(xd, xd, out=np.empty_like(xd))
-    t *= xd
-    t *= a
-    t += xd
-    t *= c
-    np.tanh(t, out=t)
-    # out = 0.5 * x * (1 + t)
-    out_data = np.multiply(0.5, xd, out=np.empty_like(xd))
-    if _recording(x):
-        out_data *= 1.0 + t
-    else:
-        t += 1.0
-        out_data *= t
+    t = np.empty_like(xd)
+    out_data = np.empty_like(xd)
+    keep_t = _recording(x)
+
+    def forward(idx):
+        xs, ts, out = xd[idx], t[idx], out_data[idx]
+        # t = tanh(c * (x + a * (x * x * x)))
+        np.multiply(xs, xs, out=ts)
+        ts *= xs
+        ts *= a
+        ts += xs
+        ts *= c
+        np.tanh(ts, out=ts)
+        # out = 0.5 * x * (1 + t)
+        np.multiply(0.5, xs, out=out)
+        if keep_t:
+            out *= 1.0 + ts
+        else:
+            ts += 1.0
+            out *= ts
+
+    _halves(forward, xd)
 
     def backward(g):
-        # du = c * (1 + 3 a x^2)
-        du = np.square(xd, out=np.empty_like(xd))
-        du *= 3.0 * a
-        du += 1.0
-        du *= c
-        # dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * du
-        dx = np.square(t, out=np.empty_like(xd))
-        np.subtract(1.0, dx, out=dx)
-        slope = np.multiply(0.5, xd, out=np.empty_like(xd))
-        slope *= dx
-        slope *= du
-        np.add(1.0, t, out=dx)
-        dx *= 0.5
-        dx += slope
-        dx *= g
+        dx = np.empty_like(xd)
+
+        def grad(idx):
+            xs, ts, d = xd[idx], t[idx], dx[idx]
+            # du = c * (1 + 3 a x^2)
+            du = np.square(xs)
+            du *= 3.0 * a
+            du += 1.0
+            du *= c
+            # dx = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * du
+            np.square(ts, out=d)
+            np.subtract(1.0, d, out=d)
+            slope = np.multiply(0.5, xs)
+            slope *= d
+            slope *= du
+            np.add(1.0, ts, out=d)
+            d *= 0.5
+            d += slope
+            d *= g[idx]
+
+        _halves(grad, dx)
         x._accumulate(dx)
 
     return _result(out_data, (x,), backward)
@@ -317,17 +461,30 @@ def gelu(x):
 
 def dropout(x, p, rng):
     """Zero elements with probability p, drawn from the numpy Generator rng,
-    and scale survivors by 1/(1-p)."""
+    and scale survivors by 1/(1-p). The mask is drawn whole; it is built
+    and applied one half of the leading axis at a time."""
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
     x = as_tensor(x)
     if p == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    out_data = x.data * mask
+    xd = x.data
+    mask = rng.random(xd.shape)
+    out_data = np.empty_like(mask)
+
+    def forward(idx):
+        m = mask[idx]
+        # the bits of (u >= p) / (1 - p)
+        np.greater_equal(m, p, out=m)
+        m /= 1.0 - p
+        np.multiply(xd[idx], m, out=out_data[idx])
+
+    _halves(forward, mask)
 
     def backward(g):
-        x._accumulate(g * mask)
+        gx = np.empty_like(mask)
+        _halves(lambda idx: np.multiply(g[idx], mask[idx], out=gx[idx]), gx)
+        x._accumulate(gx)
 
     return _result(out_data, (x,), backward)
 
@@ -460,6 +617,9 @@ def conv1d_dilated(x, w, b, dilation=1):
     (C_out, B*T') copy and x's (B, T, C_in) copy built once per call
     instead of a transposing gather per tap. Each tap's forward and gx
     product goes into one reused buffer before it is added, in tap order.
+    The forward runs one half of the batch at a time (a stacked matmul is
+    one GEMM per batch item, so each half makes the same products), and
+    the backward computes gw and gx side by side.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 3 or w.data.ndim != 3:
@@ -476,27 +636,50 @@ def conv1d_dilated(x, w, b, dilation=1):
             f"input too short: T={t} < (K-1)*dilation+1={(k-1)*dilation+1}"
         )
 
-    out_data = np.broadcast_to(b.data[None, :, None], (bsz, c_out, t_out)).copy()
+    xd, wd = x.data, w.data
+    out_data = np.empty((bsz, c_out, t_out))
     tap = np.empty_like(out_data)
-    for kk in range(k):
-        seg = x.data[:, :, kk * dilation: kk * dilation + t_out]
-        out_data += np.matmul(w.data[:, :, kk], seg, out=tap)
+    # the larger of input and output measures the work against LANE_MIN_SIZE
+    big = xd if xd.size > out_data.size else out_data
+
+    def forward(idx):
+        out, buf = out_data[idx], tap[idx]
+        out[...] = b.data[None, :, None]
+        for kk in range(k):
+            seg = xd[idx, :, kk * dilation: kk * dilation + t_out]
+            out += np.matmul(wd[:, :, kk], seg, out=buf)
+
+    _halves(forward, big)
 
     def backward(g):
-        if _needs_grad(w):
-            gw = np.zeros_like(w.data)
+        need_w, need_x = _needs_grad(w), _needs_grad(x)
+
+        def weight_grad():
+            if not need_w:
+                return None
+            gw = np.zeros_like(wd)
             g_rows = g.transpose(1, 0, 2).reshape(c_out, -1)
-            x_rows = np.ascontiguousarray(x.data.transpose(0, 2, 1))
+            x_rows = np.ascontiguousarray(xd.transpose(0, 2, 1))
             for kk in range(k):
                 seg = x_rows[:, kk * dilation: kk * dilation + t_out]
                 gw[:, :, kk] = np.dot(g_rows, seg.reshape(-1, c_in))
-            w._accumulate(gw)
-        if _needs_grad(x):
-            gx = np.zeros_like(x.data)
-            tap = np.empty((bsz, c_in, t_out))
+            return gw
+
+        def input_grad():
+            if not need_x:
+                return None
+            gx = np.zeros_like(xd)
+            buf = np.empty((bsz, c_in, t_out))
             for kk in range(k):
                 gx[:, :, kk * dilation: kk * dilation + t_out] += np.matmul(
-                    w.data[:, :, kk].T, g, out=tap)
+                    wd[:, :, kk].T, g, out=buf)
+            return gx
+
+        gw, gx = _both(weight_grad, input_grad,
+                       big.size if need_w and need_x else 0)
+        if need_w:
+            w._accumulate(gw)
+        if need_x:
             x._accumulate(gx)
         if _needs_grad(b):
             b._accumulate(g.sum(axis=(0, 2)))
@@ -519,53 +702,91 @@ class BatchNormState:
 
 
 def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
-    """Per-channel normalization of x (B, C, T) over the batch and time axes."""
+    """Per-channel normalization of x (B, C, T) over the batch and time axes.
+
+    The elementwise passes run one half of the batch axis at a time; every
+    reduction is one call on the whole array, and two independent ones may
+    run at the same time."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    bsz, c, t = x.data.shape
+    xd = x.data
+    bsz, c, t = xd.shape
     n = bsz * t
+    if training and n < 2:
+        raise ValueError("batchnorm training mode needs more than one sample")
+    xhat = np.empty_like(xd)
+    # training squares x - mu into out_data for the variance; eval works in
+    # place in xhat when no backward keeps it
+    out_data = (np.empty_like(xd) if training or _recording(x, gamma, beta)
+                else xhat)
+    # np.mean and np.var's arithmetic, sharing x - mu; eval before any
+    # training step normalizes with the 0/1 defaults
+    mu = xd.sum(axis=(0, 2)) / n if training else state.mean
+
+    def center(idx):
+        np.subtract(xd[idx], mu[None, :, None], out=xhat[idx])
+        if training:
+            np.square(xhat[idx], out=out_data[idx])
+
+    _halves(center, xd)
     if training:
-        if n < 2:
-            raise ValueError("batchnorm training mode needs more than one sample")
-        # np.mean and np.var's arithmetic, sharing x - mu
-        mu = x.data.sum(axis=(0, 2)) / n
-        xhat = np.subtract(x.data, mu[None, :, None])
-        out_data = np.square(xhat)
         var = out_data.sum(axis=(0, 2)) / n
         state.mean = (1 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
         state.var = (1 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var
     else:
-        # eval before any training step normalizes with the 0/1 defaults
         var = state.var
-        xhat = np.subtract(x.data, state.mean[None, :, None])
-        out_data = (np.empty_like(xhat) if _recording(x, gamma, beta)
-                    else xhat)
-
     ivar = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= ivar[None, :, None]
-    # out = gamma * xhat + beta; in place in xhat when no backward keeps it
-    np.multiply(gamma.data[None, :, None], xhat, out=out_data)
-    out_data += beta.data[None, :, None]
+
+    def scale(idx):
+        # out = gamma * xhat + beta; in place in xhat when no backward keeps it
+        xh, out = xhat[idx], out_data[idx]
+        xh *= ivar[None, :, None]
+        np.multiply(gamma.data[None, :, None], xh, out=out)
+        out += beta.data[None, :, None]
+
+    _halves(scale, xd)
 
     def backward(g):
-        buf = np.multiply(g, xhat)
+        need_x = _needs_grad(x)
+        buf = np.empty_like(xhat)
+        gx = np.empty_like(xhat) if need_x else None
+
+        def products(idx):
+            np.multiply(g[idx], xhat[idx], out=buf[idx])
+            if need_x:  # d loss / d xhat
+                np.multiply(g[idx], gamma.data[None, :, None], out=gx[idx])
+
+        _halves(products, buf)
+        ggamma, gbeta = _both(lambda: np.sum(buf, axis=(0, 2)),
+                              lambda: np.sum(g, axis=(0, 2)), g.size)
         if _needs_grad(gamma):
-            gamma._accumulate(np.sum(buf, axis=(0, 2)))
+            gamma._accumulate(ggamma)
         if _needs_grad(beta):
-            beta._accumulate(np.sum(g, axis=(0, 2)))
-        if not _needs_grad(x):
+            beta._accumulate(gbeta)
+        if not need_x:
             return
-        gx = np.multiply(g, gamma.data[None, :, None])  # d loss / d xhat
         if training:
             # standard batchnorm backward through the batch statistics:
             # (ivar / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
-            sum_gxhat = gx.sum(axis=(0, 2))
-            sum_gxhat_xhat = np.multiply(gx, xhat, out=buf).sum(axis=(0, 2))
-            gx *= n
-            gx -= sum_gxhat[None, :, None]
-            gx -= np.multiply(xhat, sum_gxhat_xhat[None, :, None], out=buf)
-            gx *= (ivar / n)[None, :, None]
+            _halves(lambda idx: np.multiply(gx[idx], xhat[idx], out=buf[idx]),
+                    buf)
+            sum_gxhat, sum_gxhat_xhat = _both(lambda: gx.sum(axis=(0, 2)),
+                                              lambda: buf.sum(axis=(0, 2)),
+                                              g.size)
+            ivar_n = ivar / n
+
+            def combine(idx):
+                gxs = gx[idx]
+                gxs *= n
+                gxs -= sum_gxhat[None, :, None]
+                gxs -= np.multiply(xhat[idx], sum_gxhat_xhat[None, :, None],
+                                   out=buf[idx])
+                gxs *= ivar_n[None, :, None]
         else:
-            gx *= ivar[None, :, None]
+            def combine(idx):
+                gxs = gx[idx]
+                gxs *= ivar[None, :, None]
+
+        _halves(combine, gx)
         x._accumulate(gx)
 
     return _result(out_data, (x, gamma, beta), backward)

@@ -194,6 +194,7 @@ def _load_dataset(args, cfg):
 
     The single-sequence form splits the recording in time: the leading
     (1 - val_frac) goes to train, the rest to val; evaluate uses it whole.
+    At val_frac 0 the whole recording trains, and fit validates on it.
     """
     if args.config:
         return _load_split(cfg)
@@ -202,8 +203,8 @@ def _load_dataset(args, cfg):
     seq, gt = data.load_sequence(args.imu, args.gt,
                                  name=os.path.basename(args.imu))
     aligned = data.align_ground_truth(seq, gt)
-    frac = getattr(args, "val_frac", 0.0) or 0.0
-    if frac <= 0:
+    frac = getattr(args, "val_frac", 0.0)  # in [0, 1): _run_fit checks it
+    if frac == 0:
         triple = ("seq", seq, aligned)
         return {"train": [triple], "val": [], "test": [triple]}
     cut = int(len(seq) * (1.0 - frac))
@@ -268,6 +269,9 @@ def cmd_synth(args):
 
 
 def _run_fit(args, zero_input, defaults):
+    if not 0.0 <= args.val_frac < 1.0:
+        raise data.ValidationError(
+            f"--val-frac {args.val_frac!r}: must be in [0, 1)")
     outdir = _resolve_out(args.out)
     os.makedirs(outdir, exist_ok=True)
     cfg = _read_config(args.config) if args.config else {}
@@ -499,7 +503,9 @@ def main(argv=None):
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     _keep_freed_memory()
     try:
-        with autodiff.one_blas_thread():
+        # every GEMM on one thread; the kernels of a large batch hand half
+        # of their work to the lane, with the bits of one thread
+        with autodiff.one_blas_thread(), autodiff.compute_lane():
             return args.func(args)
     except trainer.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)

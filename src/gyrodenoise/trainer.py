@@ -9,7 +9,8 @@ retained. The whole loop is deterministic under a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,6 +45,10 @@ class TrainConfig:
     augment_std: float = DEFAULT_AUGMENT_STD
 
     def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"{f.name} must be finite, got {val}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         for name in ("lr0", "restart_period", "window_len",

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -871,3 +872,192 @@ def test_constant_inputs_get_no_gradient():
         assert const.grad is None
         assert param.grad is not None and np.any(param.grad != 0)
 
+
+
+# -- the compute lane ------------------------------------------------------------
+#
+# With the lane open, the kernels hand half of their passes to a worker
+# thread. The bits must be those of the calling thread doing all of it:
+# the reference tests above run again, inline and with the lane open on one
+# BLAS thread (as the command line opens it), with every split handed off.
+
+@pytest.fixture(params=["inline", "lane"])
+def lane(request, monkeypatch, lane_handoffs):
+    """None inline; with the lane open, the list of hand-offs made."""
+    if request.param == "inline":
+        yield None
+        return
+    monkeypatch.setattr(ad, "LANE_MIN_SIZE", 0)
+    with ad.one_blas_thread(), ad.compute_lane():
+        yield lane_handoffs
+
+
+def assert_handed_off(lane, batch):
+    # a batch of one row is not split
+    assert lane is None or bool(lane) == (batch > 1)
+
+
+# batch of one, odd batch, the default train shape, calibrate's zero-input
+# shape (511 input columns)
+@pytest.mark.parametrize("shape", [(1, 4, 9), (7, 5, 13), (6, 16, 1786),
+                                   (6, 16, 505)])
+def test_gelu_bits_through_the_lane(lane, shape):
+    test_gelu_bits_match_reference(shape)
+    assert_handed_off(lane, shape[0])
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape", [(1, 4, 9), (7, 3, 17), (6, 32, 1762),
+                                   (6, 16, 505)])
+def test_batchnorm_bits_through_the_lane(lane, shape, training):
+    test_batchnorm_bits_match_reference(shape, training)
+    # the gamma and beta sums run side by side at any batch
+    assert_handed_off(lane, 2)
+
+
+@pytest.mark.parametrize("bsz,c_in,c_out,t,k,d", [
+    (1, 6, 16, 40, 7, 1), (7, 16, 32, 60, 7, 4), (6, 16, 32, 1786, 7, 4),
+    (6, 6, 16, 511, 7, 1), (6, 128, 3, 40, 1, 1)])
+def test_conv1d_bits_through_the_lane(lane, bsz, c_in, c_out, t, k, d):
+    test_conv1d_bits_match_reference(bsz, c_in, c_out, t, k, d)
+    # gw and gx run side by side at any batch
+    assert_handed_off(lane, 2)
+
+
+def dropout_reference(x, p, rng, g):
+    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    return x * mask, [g * mask]
+
+
+@pytest.mark.parametrize("shape", [(7,), (1, 4, 9), (7, 5, 13),
+                                   (6, 16, 1786)])
+def test_dropout_bits_match_reference(lane, shape):
+    rng = np.random.default_rng(46)
+    x = signed_zeros(rng.normal(size=shape), rng)
+    g = signed_zeros(rng.normal(size=shape), rng)
+    ref_rng, rng = np.random.default_rng(47), np.random.default_rng(47)
+    out, grads = dropout_reference(x, 0.25, ref_rng, g)
+    check_kernel_bits(lambda t: ad.dropout(t, 0.25, rng), [x], out, grads, g)
+    # the mask is one draw of the same numbers
+    assert rng.random() == ref_rng.random()
+    assert_handed_off(lane, shape[0])
+
+
+def test_kernels_through_the_lane_under_no_grad_return_constants(lane):
+    rng = np.random.default_rng(48)
+    x = ad.Tensor(rng.normal(size=(6, 4, 40)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(5, 4, 3)), requires_grad=True)
+    b, gamma, beta = (ad.Tensor(rng.normal(size=n), requires_grad=True)
+                      for n in (5, 4, 4))
+    with ad.no_grad():
+        ys = [ad.gelu(x), ad.dropout(x, 0.5, rng),
+              ad.batchnorm1d(x, gamma, beta, ad.BatchNormState(4), True),
+              ad.conv1d_dilated(x, w, b, 2)]
+    for y in ys:
+        assert y._backward_fn is None and y._parents == ()
+        assert not y.requires_grad
+    assert_handed_off(lane, 6)
+
+
+def test_lane_raises_a_halfs_error_after_the_other_half(lane_handoffs):
+    size = ad.LANE_MIN_SIZE
+    threads, finished = [], []
+    started = threading.Event()
+
+    def fails():
+        threads.append(threading.get_ident())
+        raise FloatingPointError("a half")
+
+    def slow():
+        threads.append(threading.get_ident())
+        time.sleep(0.05)
+        finished.append(True)
+
+    def on_lane(fn):
+        def there():
+            started.set()
+            return fn()
+        return there
+
+    def after_lane_starts(fn):
+        def here():
+            assert started.wait(10)
+            return fn()
+        return here
+
+    def check(there, here):
+        started.clear()
+        with pytest.raises(FloatingPointError, match="a half"):
+            ad._both(on_lane(there), after_lane_starts(here), size)
+        assert finished == [True]
+        assert len(set(threads)) == 2
+        threads.clear()
+        finished.clear()
+
+    with ad.compute_lane():
+        check(fails, slow)  # the lane's half raises
+        check(slow, fails)  # the caller's half raises
+        # the lane serves the next hand-off
+        assert ad._both(lambda: 1, lambda: 2, size) == (1, 2)
+    assert len(lane_handoffs) == 3
+
+
+def test_lane_serves_only_the_thread_that_opened_it(monkeypatch,
+                                                   lane_handoffs):
+    monkeypatch.setattr(ad, "LANE_MIN_SIZE", 0)
+    threads = threading.active_count()
+    x = ad.Tensor(np.random.default_rng(49).normal(size=(6, 4, 40)))
+    seen = {}
+    with ad.one_blas_thread(), ad.compute_lane():
+        worker = threading.Thread(target=lambda: seen.update(y=ad.gelu(x)))
+        worker.start()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert lane_handoffs == []
+        with ad.compute_lane():  # a nested block keeps the open lane
+            lane = ad._open.lane
+            ad._both(lambda: None, lambda: None, 0)
+        assert ad._open.lane is lane
+    assert lane_handoffs == [threading.get_ident()]
+    assert ad._open.lane is None and threading.active_count() == threads
+    np.testing.assert_array_equal(seen["y"].data, ad.gelu(x).data)
+
+
+def test_lanes_hand_off_under_thread_switching(lane_handoffs):
+    # four threads with a lane each, more than the cores, switching every
+    # microsecond: every hand-off must return its own pair of results
+    wrong = []
+
+    def churn(k):
+        with ad.compute_lane():
+            for i in range(300):
+                got = ad._both(lambda: (k, i), lambda: (i, k),
+                               ad.LANE_MIN_SIZE)
+                if got != ((k, i), (i, k)):
+                    wrong.append((k, i, got))
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=churn, args=(k,))
+                   for k in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert wrong == [] and len(lane_handoffs) == 4 * 300
+    assert threading.active_count() == threads
+
+
+def test_lane_thread_is_joined_on_error(lane_handoffs):
+    threads = threading.active_count()
+    with pytest.raises(KeyError):
+        with ad.compute_lane():
+            ad._both(lambda: None, lambda: None, ad.LANE_MIN_SIZE)
+            raise KeyError("in the block")
+    assert lane_handoffs and ad._open.lane is None
+    assert threading.active_count() == threads

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import threading
@@ -181,10 +182,11 @@ def test_calibrate_writes_recovered_calibration(tmp_path):
     assert len(cal["gyro_bias"]) == 3
 
 
-def test_divergence_into_large_residual_is_exit_3(tmp_path):
-    # a stationary scene and a checkpoint whose constant correction turns
-    # every 32-sample block by pi: log_so3 rejects the residual on the first
-    # validation pass, which is divergence, not a data error
+def diverging_train_args(tmp_path):
+    """train flags for a stationary scene resumed from a checkpoint whose
+    constant correction turns every 32-sample block by pi: log_so3 rejects
+    the residual on the first validation pass, which is divergence, not a
+    data error."""
     n = 4000
     seq = data.ImuSequence(np.arange(n) * 5_000_000, np.zeros((n, 3)),
                            np.zeros((n, 3)))
@@ -195,9 +197,41 @@ def test_divergence_into_large_residual_is_exit_3(tmp_path):
     params.conv_b[-1].data[0] = np.pi / (32 * seq.dt)
     ckpt = str(tmp_path / "diverged.json")
     network.save_checkpoint(ckpt, params)
-    argv = ["--imu", str(tmp_path / "imu.csv"), "--gt", str(tmp_path / "gt.csv"),
-            "--out", str(tmp_path / "run"), "--window-len", "608", "--quiet"]
-    assert run("train", *argv, "--epochs", "1", "--resume", ckpt) == cli.EXIT_DIVERGED
+    return ["--imu", str(tmp_path / "imu.csv"), "--gt", str(tmp_path / "gt.csv"),
+            "--out", str(tmp_path / "run"), "--window-len", "608", "--quiet",
+            "--epochs", "1", "--resume", ckpt]
+
+
+def test_divergence_into_large_residual_is_exit_3(tmp_path):
+    assert run("train", *diverging_train_args(tmp_path)) == cli.EXIT_DIVERGED
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr0", "nan", "lr0 must be finite"),
+    ("--augment-std", "nan", "augment_std must be finite"),
+    ("--weight-decay", "inf", "weight_decay must be finite"),
+    ("--val-frac", "-0.5", "--val-frac -0.5: must be in [0, 1)"),
+    ("--val-frac", "nan", "--val-frac nan: must be in [0, 1)"),
+    ("--val-frac", "1", "--val-frac 1.0: must be in [0, 1)"),
+])
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_bad_fit_setting_is_data_error_before_loading(tmp_path, capsys,
+                                                      command, flag, value,
+                                                      message):
+    # the data files do not exist: the check must fail before any load
+    missing = str(tmp_path / "none.csv")
+    assert run(command, "--imu", missing, "--gt", missing, "--out",
+               str(tmp_path / "run"), flag, value) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_val_frac_zero_validates_on_the_training_data(tmp_path):
+    scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,0,0")
+    outdir = str(tmp_path / "run")
+    assert run("train", *train_args(scene, outdir), "--epochs", "1",
+               "--val-frac", "0") == 0
+    rows = read(outdir, "metrics.csv").strip().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[2]
 
 
 def test_train_is_reproducible(tmp_path):
@@ -211,6 +245,55 @@ def test_train_is_reproducible(tmp_path):
     c1 = read(tmp_path, "r1", "checkpoint.json")
     c2 = read(tmp_path, "r2", "checkpoint.json")
     assert c1 == c2
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_fit_through_the_lane_writes_the_bytes_of_one_thread(
+        tmp_path, monkeypatch, lane_handoffs, command):
+    # the command with every kernel split handed to the lane, against fit
+    # on one BLAS thread with the lane never opened
+    scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,-0.01,0")
+    epochs = ["--epochs", "2", "--restart-period", "2"]
+    monkeypatch.setattr(autodiff, "LANE_MIN_SIZE", 0)
+    assert run(command, *train_args(scene, str(tmp_path / "lane")),
+               *epochs) == 0
+    assert lane_handoffs
+    lane_handoffs.clear()
+    monkeypatch.setattr(autodiff, "compute_lane", contextlib.nullcontext)
+    assert run(command, *train_args(scene, str(tmp_path / "inline")),
+               *epochs) == 0
+    assert lane_handoffs == []
+    names = ["metrics.csv", "checkpoint.json", "checkpoint_last.json"]
+    if command == "calibrate":
+        names.append("calibration.json")
+    for name in names:
+        with open(tmp_path / "lane" / name, "rb") as f:
+            lane = f.read()
+        with open(tmp_path / "inline" / name, "rb") as f:
+            assert f.read() == lane, name
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_fit_leaves_no_thread_behind(tmp_path, monkeypatch, lane_handoffs,
+                                    command):
+    scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,0,0")
+    monkeypatch.setattr(autodiff, "LANE_MIN_SIZE", 0)
+    threads = threading.active_count()
+    assert run(command, *train_args(scene, str(tmp_path / "run")),
+               "--epochs", "1") == 0
+    assert lane_handoffs
+    assert threading.active_count() == threads
+
+
+def test_divergence_leaves_no_thread_behind(tmp_path, monkeypatch,
+                                            lane_handoffs):
+    # a validation part of three windows, so that its forward uses the lane
+    argv = diverging_train_args(tmp_path) + ["--val-frac", "0.5"]
+    monkeypatch.setattr(autodiff, "LANE_MIN_SIZE", 0)
+    threads = threading.active_count()
+    assert run("train", *argv) == cli.EXIT_DIVERGED
+    assert lane_handoffs
+    assert threading.active_count() == threads
 
 
 # -- evaluate / report -------------------------------------------------------------

@@ -230,6 +230,16 @@ def test_fit_rejects_short_sequences():
                     quick_cfg(window_len=640), small_loss())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr0", np.inf), ("lr0", np.nan), ("weight_decay", np.nan),
+    ("weight_decay", -np.inf), ("augment_std", np.inf),
+    ("augment_std", np.nan)])
+def test_train_config_refuses_non_finite_floats(field, value):
+    # nan passes every comparison check, and inf passes the sign checks
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        trainer.TrainConfig(**{field: value})
+
+
 def test_calibration_recovery_zero_input():
     c_true = np.eye(3) + np.array([[0.00, 0.03, -0.02],
                                    [-0.01, 0.02, 0.01],
