@@ -17,18 +17,21 @@ bits, like everything downstream, depend on the BLAS thread count as well
 as on the inputs; `one_blas_thread()` pins that count to one, and the
 command line runs inside it.
 
-The command line also opens a compute lane (`compute_lane()`): one worker
-thread that takes half of the heavy kernels' numpy work while the thread
-that opened it does the other half, so a training step uses two cores.
-The convolution splits its forward by batch halves and runs its backward's
-gw and gx GEMMs side by side; GELU, dropout's multiply and every
-elementwise pass of batchnorm split by batch halves. A reduction is never
-split: each is the one call on the whole array that an inline run makes,
-and only batchnorm's backward runs two independent ones at the same time.
-Each kernel has one body; without the lane (library calls, other threads,
-kernels under LANE_MIN_SIZE elements) both halves run on the calling
-thread, so the bits are the same either way. Every autodiff decision stays
-on the calling thread, since grad mode is per thread.
+The command line also opens a compute lane (`compute_lane()`): a
+one-thread executor whose worker takes half of the heavy kernels' numpy
+work while the thread that opened it does the other half, so a training
+step uses two cores. It is the command's one worker thread: `evaluate`
+runs its proposed track there. The convolution splits its forward by batch
+halves and runs its backward's gw and gx GEMMs side by side; GELU,
+dropout's multiply and every elementwise pass of batchnorm split by batch
+halves. A reduction is never split: each is the one call on the whole
+array that an inline run makes, and only batchnorm's backward runs two
+independent ones at the same time. Each kernel has one body; without the
+lane (library calls, other threads, kernels under LANE_MIN_SIZE elements)
+both halves run on the calling thread, so the bits are the same either
+way. Every autodiff decision stays on the calling thread, since grad mode
+is per thread; a job submitted to the lane that builds tensors sets its
+own grad mode.
 
 The arithmetic kernels write their results into fresh buffers, so a result
 never aliases an input (`take`, `reshape` and `transpose` return numpy
@@ -52,6 +55,7 @@ import contextlib
 import ctypes
 import functools
 import threading
+from concurrent import futures
 
 import numpy as np
 
@@ -234,56 +238,6 @@ def one_blas_thread():
 LANE_MIN_SIZE = 150_000
 
 
-class _Lane:
-    """A worker thread that runs one closure while its owner runs another.
-    The thread starts at the first hand-off."""
-
-    def __init__(self):
-        self._go = threading.Lock()
-        self._go.acquire()
-        self._done = threading.Lock()
-        self._done.acquire()
-        self._job = None
-        self._result = self._error = None
-        self._thread = None
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            try:
-                self._result = self._job()
-            except BaseException as err:
-                self._error = err
-            self._done.release()
-
-    def run(self, there, here):
-        """(there(), here()), with there() on the lane. Returns, or raises
-        what either raised (here's first), once both have finished."""
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, daemon=True,
-                                            name="autodiff-lane")
-            self._thread.start()
-        self._job = there
-        self._go.release()
-        try:
-            mine = here()
-        finally:
-            self._done.acquire()
-            theirs, error = self._result, self._error
-            self._job = self._result = self._error = None
-        if error is not None:
-            raise error
-        return theirs, mine
-
-    def close(self):
-        if self._thread is not None:
-            self._job = None
-            self._go.release()  # with no job: the thread returns
-            self._thread.join()
-
-
 class _OpenLane(threading.local):
     """The lane this thread opened, kept per thread: no other thread's
     kernels hand work to it."""
@@ -299,29 +253,49 @@ def compute_lane():
     numpy passes to one worker thread, and the bits of every result stay
     those of this thread doing all of it. Open it only with one BLAS thread
     (`one_blas_thread()`), so that the GEMMs of the two threads share no
-    core. A block nested in an open one keeps that lane; the worker thread
-    is joined on exit."""
+    core. Yields the lane, a one-thread executor whose thread starts at the
+    first submit; a block nested in an open one yields that lane, and the
+    outermost block joins the thread on exit.
+
+    Other work may be submitted to the lane too (evaluate scores its
+    proposed track there) on two conditions: a job on the lane never hands
+    work off, since the open lane is per thread and the lane's own thread
+    has none; and while such a job runs, no kernel of this thread reaches
+    LANE_MIN_SIZE, or it would wait for the job to finish."""
     if _open.lane is not None:
-        yield
+        yield _open.lane
         return
-    lane = _open.lane = _Lane()
+    with futures.ThreadPoolExecutor(
+            1, thread_name_prefix="autodiff-lane") as lane:
+        _open.lane = lane
+        try:
+            yield lane
+        finally:
+            _open.lane = None
+
+
+def _hand_off(lane, there, here):
+    """(there(), here()), with there() on the lane. Returns, or raises what
+    either raised (here's first), once both have finished."""
+    fut = lane.submit(there)
     try:
-        yield
+        mine = here()
     finally:
-        _open.lane = None
-        lane.close()
+        fut.exception()  # waits for there() without raising its error
+    return fut.result(), mine
 
 
 def _both(there, here, size):
     """(there(), here()): there() on this thread's lane while here() runs
     on this thread when a lane is open and size reaches LANE_MIN_SIZE, else
-    there() then here() on this thread. Run only numpy calls and local
-    closures this way, never an autodiff decision: grad mode is per
-    thread."""
+    there() then here() on this thread. Grad mode is per thread, so every
+    autodiff decision stays on this thread, and a job that builds tensors
+    sets its own grad mode (as `network.integrate_corrected` does with
+    `no_grad`)."""
     lane = _open.lane
     if lane is None or size < LANE_MIN_SIZE:
         return there(), here()
-    return lane.run(there, here)
+    return _hand_off(lane, there, here)
 
 
 def _halves(body, like):

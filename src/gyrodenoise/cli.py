@@ -238,8 +238,9 @@ def _loss_config(cfg):
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_synth(args):
-    outdir = _resolve_out(args.out)
-    os.makedirs(outdir, exist_ok=True)
+    if not 0.0 <= args.misalign < np.inf:
+        raise data.ValidationError(
+            f"--misalign {args.misalign!r}: must be finite and non-negative")
     rng = np.random.default_rng(args.seed)
     c_omega = np.eye(3)
     if args.misalign > 0:
@@ -257,6 +258,8 @@ def cmd_synth(args):
         bias_walk_std=_vec(args.bias_walk, 6, "--bias-walk"),
     )
     scene = imu.generate_scene(spec, calib, seed=args.seed)
+    outdir = _resolve_out(args.out)
+    os.makedirs(outdir, exist_ok=True)
     data.write_imu_csv(os.path.join(outdir, "imu.csv"),
                        scene["imu_t_ns"], scene["gyro"], scene["acc"])
     data.write_gt_csv(os.path.join(outdir, "gt.csv"),
@@ -477,7 +480,7 @@ def _keep_freed_memory():
     """Under glibc, serve blocks up to 32 MiB from the heap and never trim
     it, so memory that backward frees stays in the process for the next
     step instead of going back to the kernel and being faulted in again.
-    Threads share that one heap (one arena): what evaluate's worker thread
+    Threads share that one heap (one arena): what the compute lane's thread
     allocates reuses memory the main thread freed, instead of growing an
     arena of its own. Returns whether the policy was applied; with any
     other libc it is not."""
@@ -503,8 +506,9 @@ def main(argv=None):
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     _keep_freed_memory()
     try:
-        # every GEMM on one thread; the kernels of a large batch hand half
-        # of their work to the lane, with the bits of one thread
+        # every GEMM on one thread; the command's one worker thread is the
+        # lane: the kernels of a large batch hand it half of their work,
+        # with the bits of one thread, and evaluate its proposed track
         with autodiff.one_blas_thread(), autodiff.compute_lane():
             return args.func(args)
     except trainer.DivergenceError as err:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import data, network, so3
+from . import autodiff, data, network, so3
 
 DEFAULT_DISTANCES = (7.0, 21.0, 35.0)
 METHODS = ("raw", "calibrated", "proposed", "zero")
@@ -234,20 +234,18 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
     objects ordered by (sequence name, method order as given).
 
     Per sequence, once its ROE windows are built, the `proposed` attitude
-    track (the blocked CNN forward and its integration) is computed on a
-    worker thread while this thread estimates and scores the other
-    methods; then it scores `proposed`. The worker's matrix products and
-    large ufunc loops release the GIL, so the two overlap on a second
-    core. Every track and score is computed as one after another would
-    compute it, so the reports are bit-identical to a serial run's, and
-    when methods fail the error raised is the first one in method order.
+    track (the blocked CNN forward and its integration) is computed on the
+    autodiff compute lane while this thread estimates and scores the other
+    methods; then it scores `proposed`. Inside an open `compute_lane()`,
+    as under the command line, that is the lane already open; otherwise
+    one is opened and joined here. The lane's matrix products and large
+    ufunc loops release the GIL, so the two overlap on a second core.
+    Every track and score is computed as one after another would compute
+    it, so the reports are bit-identical to a serial run's, and when
+    methods fail the error raised is the first one in method order.
     """
-    # imported here, so that the commands that never score a method do not
-    # load the thread pool
-    from concurrent.futures import ThreadPoolExecutor
-
     reports = []
-    with ThreadPoolExecutor(1) as worker:
+    with autodiff.compute_lane() as worker:
         for name, seq, gt in sorted(sequences, key=lambda x: x[0]):
             windows = roe_windows(gt, distances)
             ahead = (worker.submit(estimate_attitudes, "proposed", seq, gt,

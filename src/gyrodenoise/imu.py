@@ -43,12 +43,18 @@ class CalibParams:
         self.bias = np.asarray(self.bias, dtype=float)
         self.noise_std = np.asarray(self.noise_std, dtype=float)
         for name, c in (("C_omega", self.C_omega), ("C_acc", self.C_acc)):
-            if np.max(np.abs(c - np.eye(3))) > 0.2:
+            if not np.max(np.abs(c - np.eye(3))) <= 0.2:
                 raise ValueError(f"{name} outside the near-identity model regime")
             if abs(np.linalg.det(c)) < 1e-12:
                 raise ValueError(f"{name} is singular")
-        if np.any(self.noise_std < 0):
-            raise ValueError("noise_std must be non-negative")
+        if not np.all(np.isfinite(self.bias)):
+            raise ValueError(f"bias {self.bias.tolist()}: must be finite")
+        if not np.all((self.noise_std >= 0) & np.isfinite(self.noise_std)):
+            raise ValueError(f"noise_std {self.noise_std.tolist()}: must be "
+                             f"finite and non-negative")
+        if not 0.0 <= self.noise_color < 1.0:
+            raise ValueError(f"noise_color {self.noise_color!r}: must be in "
+                             f"[0, 1)")
 
     def to_dict(self):
         return {
@@ -82,8 +88,16 @@ class SyntheticScene:
         if self.rate <= 0:
             raise ValueError("rate must be positive")
         n = self.duration * self.rate
+        if not 2 <= n < np.inf:
+            raise ValueError(f"duration {self.duration!r} at rate "
+                             f"{self.rate!r}: must be finite and give at "
+                             f"least 2 samples")
         if abs(n - round(n)) > 1e-9:
             raise ValueError("duration * rate must be an integer sample count")
+        if not np.all((self.bias_walk_std >= 0)
+                      & np.isfinite(self.bias_walk_std)):
+            raise ValueError(f"bias_walk_std {self.bias_walk_std.tolist()}: "
+                             f"must be finite and non-negative")
 
     @property
     def n_samples(self):

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import pytest
@@ -19,20 +20,28 @@ def traced_peak():
     return _traced_peak
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that ends with more Python threads than it started with:
+    every worker thread the program starts is joined before it returns."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, [
+        t.name for t in threading.enumerate()]
+
+
 @pytest.fixture
 def lane_handoffs(monkeypatch):
     """The list of hand-offs to an autodiff compute lane made while the test
     runs: the id of the thread that handed each one off."""
-    import threading
-
     from gyrodenoise import autodiff
 
     handoffs = []
-    run = autodiff._Lane.run
+    hand_off = autodiff._hand_off
 
-    def counted(self, there, here):
+    def counted(lane, there, here):
         handoffs.append(threading.get_ident())
-        return run(self, there, here)
+        return hand_off(lane, there, here)
 
-    monkeypatch.setattr(autodiff._Lane, "run", counted)
+    monkeypatch.setattr(autodiff, "_hand_off", counted)
     return handoffs

@@ -51,6 +51,42 @@ def test_synth_zero_rate_is_data_error(tmp_path):
                "--out", str(tmp_path / "x")) == 2
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--noise-color", "1.0", "noise_color"),
+    ("--noise-color", "1.5", "noise_color"),
+    ("--noise-color", "-0.5", "noise_color"),
+    ("--noise-color", "nan", "noise_color"),
+    ("--gyro-bias", "nan,0,0", "bias"),
+    ("--acc-bias", "0,-inf,0", "bias"),
+    ("--noise-std", "0,0,0,0,0,inf", "noise_std"),
+    ("--bias-walk", "nan,0,0,0,0,0", "bias_walk_std"),
+    ("--bias-walk", "0,-0.1,0,0,0,0", "bias_walk_std"),
+    ("--duration", "0", "2 samples"),
+    ("--duration", "0.001", "2 samples"),
+    ("--duration", "-1", "2 samples"),
+    ("--duration", "nan", "2 samples"),
+    ("--duration", "inf", "2 samples"),
+    ("--rate", "nan", "2 samples"),
+    ("--misalign", "nan", "--misalign"),
+    ("--misalign", "-0.01", "--misalign"),
+    ("--misalign", "inf", "--misalign"),
+])
+def test_synth_refuses_out_of_domain_input_before_writing(tmp_path, capsys,
+                                                          flag, value, named):
+    out = tmp_path / "scene"
+    assert run("synth", "--seed", "1", "--duration", "2", flag, value,
+               "--out", str(out)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+def test_synth_writes_a_two_sample_scene_at_the_bounds(tmp_path):
+    out = synth_scene(tmp_path, duration=0.01, noise_color=0.0, misalign=0.0,
+                      noise_std="0,0,0,0,0,0")
+    assert len(read(out, "imu.csv").splitlines()) == 1 + 2
+
+
 def test_synth_records_injected_calibration(tmp_path):
     out = synth_scene(tmp_path, duration=2.0, misalign=0.03,
                       gyro_bias="0.01,-0.02,0.005")
@@ -631,6 +667,26 @@ def test_evaluate_leaves_no_thread_behind(tmp_path):
     with open(tmp_path / "rep" / "aoe.csv") as f:
         assert [row.split(",")[0] for row in f.read().splitlines()[1:]] == [
             "raw", "calibrated", "proposed", "zero"]
+
+
+def test_evaluate_scores_proposed_on_the_lane(tmp_path, monkeypatch):
+    # one worker thread per command: the one that main's compute lane owns
+    scene = synth_scene(tmp_path, duration=12.0)
+    ckpt = str(tmp_path / "ckpt.json")
+    network.save_checkpoint(ckpt, network.ModelParams())
+    names = {}
+    estimate = evaluator.estimate_attitudes
+
+    def recorded(method, *args):
+        names[method] = threading.current_thread().name
+        return estimate(method, *args)
+
+    monkeypatch.setattr(evaluator, "estimate_attitudes", recorded)
+    assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+               "--gt", os.path.join(scene, "gt.csv"), "--checkpoint", ckpt,
+               "--distances", "7", "--out", str(tmp_path / "rep")) == 0
+    assert names.pop("proposed").startswith("autodiff-lane")
+    assert set(names.values()) == {threading.current_thread().name}
 
 
 def test_integrate_matches_estimate_attitudes(tmp_path):

@@ -1,10 +1,11 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from gyrodenoise import cli, data, evaluator, imu, network, so3
+from gyrodenoise import autodiff, cli, data, evaluator, imu, network, so3
 
 
 def make_scene(duration=30.0, seed=0, calib=None):
@@ -417,6 +418,48 @@ def test_run_baselines_matches_a_serial_run_bit_for_bit(methods):
             for name in evaluator.ROE_DTYPE.names:
                 assert getattr(g.roe_samples[dist], name).tobytes() == \
                     getattr(ww, name).tobytes(), (g.sequence, g.method, name)
+
+
+def record_threads(monkeypatch):
+    """{method: (thread name, active thread count)} as estimate_attitudes
+    sees them, filled in while run_baselines runs."""
+    seen = {}
+    estimate = evaluator.estimate_attitudes
+
+    def recorded(method, *args):
+        seen[method] = (threading.current_thread().name,
+                        threading.active_count())
+        return estimate(method, *args)
+
+    monkeypatch.setattr(evaluator, "estimate_attitudes", recorded)
+    return seen
+
+
+def test_run_baselines_uses_the_open_lane(monkeypatch):
+    # inside an open lane, as under the command line, the proposed track
+    # runs on that lane's thread, and no second worker thread starts
+    calib = imu.CalibParams(bias=np.array([0.02, -0.015, 0.01, 0, 0, 0]))
+    _, seq, gt = make_scene(duration=12.0, seed=12, calib=calib)
+    seen = record_threads(monkeypatch)
+    with autodiff.compute_lane() as lane:
+        lane_thread = lane.submit(threading.current_thread).result()
+        threads = threading.active_count()
+        evaluator.run_baselines([("s", seq, gt)], calibration_params(calib),
+                                distances=(7.0,))
+        assert threading.active_count() == threads
+    assert seen["proposed"] == (lane_thread.name, threads)
+    assert lane_thread.name.startswith("autodiff-lane")
+    assert seen["raw"] == (threading.current_thread().name, threads)
+
+
+def test_run_baselines_opens_and_joins_a_lane_of_its_own(monkeypatch):
+    _, seq, gt = make_scene(duration=12.0, seed=12)
+    seen = record_threads(monkeypatch)
+    threads = threading.active_count()
+    evaluator.run_baselines([("s", seq, gt)], network.ModelParams(seed=0),
+                            distances=(7.0,))
+    assert seen["proposed"][0].startswith("autodiff-lane")
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("methods, first", [

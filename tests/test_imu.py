@@ -56,6 +56,8 @@ def test_calib_rejects_bad_matrices():
         imu.CalibParams(C_omega=1.5 * np.eye(3))
     with pytest.raises(ValueError):
         imu.CalibParams(noise_std=-np.ones(6))
+    with pytest.raises(ValueError, match="near-identity"):
+        imu.CalibParams(C_acc=np.full((3, 3), np.nan))
 
 
 def test_true_acc_stationary_gives_gravity_reaction():
