@@ -35,9 +35,9 @@ own grad mode.
 
 The arithmetic kernels write their results into fresh buffers, so a result
 never aliases an input (`take`, `reshape` and `transpose` return numpy
-views, and `dropout` at p = 0 its input). Each kernel allocates only the
-buffers its backward keeps and works in place otherwise, with the operands
-and order of operations of the plain expressions, so the bits are theirs.
+views, and `dropout` at p = 0 its input). Each kernel runs one body whether
+or not it records a graph, with the operands and order of operations of
+the plain expressions, so the bits are theirs.
 
 Inside a `with no_grad():` block every op returns a constant Tensor: no
 parents and no backward closure, so nothing but the live outputs is kept in
@@ -332,14 +332,9 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _recording(*ts):
-    """Whether an op on these tensors records a graph node."""
-    return _grad_mode.enabled and _needs_grad(*ts)
-
-
 def _result(data, parents, backward_fn):
     live = tuple(p for p in parents if isinstance(p, Tensor))
-    if _recording(*live):
+    if _grad_mode.enabled and _needs_grad(*live):
         return Tensor(data, _parents=live, _backward_fn=backward_fn)
     return Tensor(data)
 
@@ -376,16 +371,15 @@ def gelu(x):
     """GELU via the tanh approximation:
     0.5 x (1 + tanh(0.7978845608 (x + 0.044715 x^3))).
 
-    The forward keeps t = tanh(...) for the backward; each expression is
-    evaluated in its written order, in place in buffers of x's shape, one
-    half of the leading axis at a time."""
+    The forward keeps t = tanh(...) for the backward, whether or not it
+    records a graph; each expression is evaluated in its written order, in
+    buffers of x's shape, one half of the leading axis at a time."""
     x = as_tensor(x)
     c = 0.7978845608
     a = 0.044715
     xd = x.data
     t = np.empty_like(xd)
     out_data = np.empty_like(xd)
-    keep_t = _recording(x)
 
     def forward(idx):
         xs, ts, out = xd[idx], t[idx], out_data[idx]
@@ -398,11 +392,7 @@ def gelu(x):
         np.tanh(ts, out=ts)
         # out = 0.5 * x * (1 + t)
         np.multiply(0.5, xs, out=out)
-        if keep_t:
-            out *= 1.0 + ts
-        else:
-            ts += 1.0
-            out *= ts
+        out *= 1.0 + ts
 
     _halves(forward, xd)
 
@@ -688,10 +678,8 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
     if training and n < 2:
         raise ValueError("batchnorm training mode needs more than one sample")
     xhat = np.empty_like(xd)
-    # training squares x - mu into out_data for the variance; eval works in
-    # place in xhat when no backward keeps it
-    out_data = (np.empty_like(xd) if training or _recording(x, gamma, beta)
-                else xhat)
+    # training squares x - mu into out_data for the variance
+    out_data = np.empty_like(xd)
     # np.mean and np.var's arithmetic, sharing x - mu; eval before any
     # training step normalizes with the 0/1 defaults
     mu = xd.sum(axis=(0, 2)) / n if training else state.mean
@@ -711,7 +699,7 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
     ivar = 1.0 / np.sqrt(var + BN_EPS)
 
     def scale(idx):
-        # out = gamma * xhat + beta; in place in xhat when no backward keeps it
+        # out = gamma * xhat + beta
         xh, out = xhat[idx], out_data[idx]
         xh *= ivar[None, :, None]
         np.multiply(gamma.data[None, :, None], xh, out=out)

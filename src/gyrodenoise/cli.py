@@ -23,6 +23,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -59,7 +60,7 @@ def _vec(text, n, name):
 
 
 def _write_snapshot(outdir, args, extra=None):
-    """Record the resolved settings so the run can be reproduced exactly."""
+    """Record the command's flags, then extra's config keys and values."""
     lines = [f"command = {args.command}"]
     for key, val in sorted(vars(args).items()):
         if key in ("command", "func") or val is None:
@@ -86,15 +87,17 @@ def _read_config(path):
     stamp), imu.NAME / gt.NAME path overrides, offset.NAME (ground-truth
     clock offset, s), train.<TrainConfig field>, loss.js, loss.huber_delta
     and net.dropout. Any other key, a per-sequence key whose NAME has no
-    split. key, an unknown role, or a window or offset value that is not
-    two comma-separated numbers or one number is a ValidationError.
-    Returns the flat dict.
+    split. key, an unknown role, a window or offset value that is not two
+    comma-separated numbers or one number, or a train, loss or net value
+    of the wrong type is a ValidationError. Returns the flat dict, with
+    the train, loss and net values converted.
     """
     cfg = data.parse_config(path)
     names = {key[len("split."):] for key in cfg if key.startswith("split.")}
-    members = {"train": TRAIN_FIELDS, "loss": ("js", "huber_delta"),
-               "net": ("dropout",)}
-    for key, val in cfg.items():
+    members = {"train": TRAIN_FIELDS, "net": {"dropout": float},
+               "loss": {"huber_delta": float,
+                        "js": lambda s: tuple(int(x) for x in s.split(","))}}
+    for key, val in list(cfg.items()):
         group, _, member = key.partition(".")
         if group in ("split", "window", "imu", "gt", "offset") and member:
             if member not in names:
@@ -109,6 +112,11 @@ def _read_config(path):
             if member not in members[group]:
                 raise data.ValidationError(
                     f"unknown {group} config key {member!r}")
+            try:
+                cfg[key] = members[group][member](val)
+            except ValueError as err:
+                raise data.ValidationError(
+                    f"config key {key!r}: {err}") from None
         elif key not in ("format", "data_root"):
             why = ": the sample period is measured" if key == "rate" else ""
             raise data.ValidationError(f"unknown config key {key!r}{why}")
@@ -216,9 +224,9 @@ def _load_dataset(args, cfg):
 def _train_config(args, cfg, **defaults):
     """TrainConfig from defaults, config-file train.* keys, then flags."""
     fields = dict(defaults)
-    for f, typ in TRAIN_FIELDS.items():
+    for f in TRAIN_FIELDS:
         if f"train.{f}" in cfg:
-            fields[f] = typ(cfg[f"train.{f}"])
+            fields[f] = cfg[f"train.{f}"]
         if getattr(args, f) is not None:
             fields[f] = getattr(args, f)
     return trainer.TrainConfig(**fields)
@@ -227,12 +235,9 @@ def _train_config(args, cfg, **defaults):
 def _loss_config(cfg):
     """LossConfig from config-file loss.* keys. The loss's sample period is
     not a key: it is the data's, measured from the IMU timestamps."""
-    fields = {}
-    if "loss.js" in cfg:
-        fields["js"] = tuple(int(x) for x in cfg["loss.js"].split(","))
-    if "loss.huber_delta" in cfg:
-        fields["huber_delta"] = float(cfg["loss.huber_delta"])
-    return loss.LossConfig(**fields)
+    return loss.LossConfig(**{key[len("loss."):]: val
+                              for key, val in cfg.items()
+                              if key.startswith("loss.")})
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -282,7 +287,8 @@ def _run_fit(args, zero_input, defaults):
     lcfg = _loss_config(cfg)
     # off in zeroed-input mode: the correction is a constant, and dropout
     # would only add gradient noise
-    dropout = 0.0 if zero_input else float(cfg.get("net.dropout", 0.1))
+    net_cfg = network.NetConfig(
+        dropout=0.0 if zero_input else cfg.get("net.dropout", 0.1))
     dataset = _load_dataset(args, cfg)
 
     start_epoch = 0
@@ -290,8 +296,7 @@ def _run_fit(args, zero_input, defaults):
         params, extra = network.load_checkpoint(args.resume)
         start_epoch = int(extra.get("epoch", 0))
     else:
-        params = network.ModelParams(network.NetConfig(dropout=dropout),
-                                     seed=tcfg.seed)
+        params = network.ModelParams(net_cfg, seed=tcfg.seed)
 
     log_path = os.path.join(outdir, "metrics.csv")
     train_pairs = [(s, g) for _, s, g in dataset["train"]]
@@ -313,7 +318,11 @@ def _run_fit(args, zero_input, defaults):
                                 "epoch": tcfg.epochs,
                                 "zero_input": zero_input,
                             })
-    _write_snapshot(outdir, args, {"resolved_epochs": tcfg.epochs})
+    _write_snapshot(outdir, args, {
+        **{f"train.{f}": v for f, v in dataclasses.asdict(tcfg).items()},
+        "loss.js": ",".join(map(str, lcfg.js)),
+        "loss.huber_delta": lcfg.huber_delta,
+        "net.dropout": params.config.dropout})
     if zero_input:
         c_rec, b_rec = trainer.recovered_calibration(result.best_params)
         with open(os.path.join(outdir, "calibration.json"), "w") as f:
@@ -424,6 +433,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
+    # argparse takes a plain negative number for a value, but reads a comma
+    # list that starts with one (--gyro-bias -0.02,0,0) as an option
+    p._negative_number_matcher = re.compile(
+        p._negative_number_matcher.pattern + r"|^-[\d.][^,]*,.*")
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--rate", type=float, default=200.0)
     p.add_argument("--seed", type=int, required=True)

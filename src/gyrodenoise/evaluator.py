@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff, data, network, so3
 
 DEFAULT_DISTANCES = (7.0, 21.0, 35.0)
+ROE_TOLERANCE = 0.05
 METHODS = ("raw", "calibrated", "proposed", "zero")
 
 # aoe and roe_errors score this many rotations at a time, so their
@@ -93,13 +94,13 @@ class GtWindows:
     gt_inv: np.ndarray     # (W, 3, 3) transposed ground-truth increments
 
 
-def roe_windows(gt, distances=DEFAULT_DISTANCES, tolerance=0.05):
+def roe_windows(gt, distances=DEFAULT_DISTANCES):
     """{distance: GtWindows} of a data.GroundTruth: the ROE windows every
     estimate on its sample clock is scored over.
 
     For each start n the end g(n) is the index whose traveled distance is
-    nearest the target; windows off by more than the tolerance, or touching
-    a ground-truth gap, are skipped.
+    nearest the target; windows off by more than ROE_TOLERANCE times the
+    target, or touching a ground-truth gap, are skipped.
     """
     seg = np.linalg.norm(np.diff(gt.pos, axis=0), axis=-1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -118,7 +119,7 @@ def roe_windows(gt, distances=DEFAULT_DISTANCES, tolerance=0.05):
         above = np.abs(cum[g] - cum - dist)
         g = np.where(below < above, g - 1, g)
         traveled = cum[g] - cum
-        keep = (g > n) & (np.abs(traveled - dist) <= tolerance * dist)
+        keep = (g > n) & (np.abs(traveled - dist) <= ROE_TOLERANCE * dist)
         n, g, traveled = n[keep], g[keep], traveled[keep]
         d_gt, valid = data.gt_increments(gt, n, g)
         out[dist] = GtWindows(n[valid], g[valid], traveled[valid],
@@ -150,7 +151,7 @@ def roe_errors(windows, est_rots):
     return out
 
 
-def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
+def roe(gt, est_rots, distances=DEFAULT_DISTANCES):
     """Relative orientation errors over fixed-displacement windows.
 
     gt is a data.GroundTruth aligned to the estimate's sample clock (its
@@ -161,7 +162,7 @@ def roe(gt, est_rots, distances=DEFAULT_DISTANCES, tolerance=0.05):
     """
     if len(gt.rot) != len(est_rots):
         raise ValueError("ground truth and estimate length mismatch")
-    return roe_errors(roe_windows(gt, distances, tolerance), est_rots)
+    return roe_errors(roe_windows(gt, distances), est_rots)
 
 
 def percentiles(values):

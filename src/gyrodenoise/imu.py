@@ -78,8 +78,6 @@ class SyntheticScene:
     velocity_amplitude: float = 0.5
     # base linear speed along x (m/s), sets the trajectory arclength
     base_speed: float = 1.0
-    n_harmonics: int = 4
-    max_freq_hz: float = 1.0
     bias_walk_std: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
@@ -166,14 +164,15 @@ def true_acc_from_trajectory(rotations, velocities, dt, gravity=GRAVITY):
     return np.einsum("nji,nj->ni", rotations[:-1], world)
 
 
-def _smooth_profile(rng, n, dt, amplitude, n_harmonics, max_freq_hz):
+def _smooth_profile(rng, n, dt, amplitude):
     """Sum of sinusoids with seeded random phases/amplitudes, (n, 3)."""
+    n_harmonics, max_freq_hz = 4, 1.0
     t = np.arange(n) * dt
     out = np.zeros((n, 3))
     for _ in range(n_harmonics):
         freq = rng.uniform(0.05, max_freq_hz, size=3)
         phase = rng.uniform(0, 2 * np.pi, size=3)
-        amp = rng.uniform(0.2, 1.0, size=3) * amplitude / max(n_harmonics, 1)
+        amp = rng.uniform(0.2, 1.0, size=3) * amplitude / n_harmonics
         out += amp * np.sin(2 * np.pi * freq * t[:, None] + phase)
     return out
 
@@ -195,10 +194,8 @@ def generate_scene(spec: SyntheticScene, calib: CalibParams, seed: int):
     dt = 1.0 / spec.rate
     m = spec.n_samples
 
-    omega = _smooth_profile(rng, m, dt, spec.omega_amplitude,
-                            spec.n_harmonics, spec.max_freq_hz)
-    vel = _smooth_profile(rng, m + 1, dt, spec.velocity_amplitude,
-                          spec.n_harmonics, spec.max_freq_hz)
+    omega = _smooth_profile(rng, m, dt, spec.omega_amplitude)
+    vel = _smooth_profile(rng, m + 1, dt, spec.velocity_amplitude)
     vel[:, 0] += spec.base_speed
 
     rots = so3.integrate_increments(np.eye(3), omega, dt)  # (m+1, 3, 3)

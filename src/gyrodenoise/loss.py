@@ -32,10 +32,6 @@ class LossConfig:
         return max(self.js)
 
 
-def tree_stage_count(j):
-    return int(np.log2(j))
-
-
 def tree_products(increments, j, stages_out=None):
     """Reduce per-sample increments to products over consecutive blocks of j.
 
@@ -51,7 +47,7 @@ def tree_products(increments, j, stages_out=None):
     if m % j != 0:
         raise ValueError(f"sequence length {m} not divisible by j={j}")
     x = increments
-    for _ in range(tree_stage_count(j)):
+    for _ in range(int(np.log2(j))):
         a = x[(Ellipsis, slice(0, None, 2), slice(None), slice(None))]
         b = x[(Ellipsis, slice(1, None, 2), slice(None), slice(None))]
         x = ad.matmul(a, b) if is_tensor else np.matmul(a, b)

@@ -40,6 +40,8 @@ class NetConfig:
             raise ValueError("kernel_sizes and dilations length mismatch")
         if len(self.channels) != len(self.kernel_sizes) + 1:
             raise ValueError("channels must have one more entry than layers")
+        if not 0.0 <= self.dropout < 1.0:  # NaN fails too
+            raise ValueError(f"dropout {self.dropout!r}: must be in [0, 1)")
 
     @property
     def n_layers(self):

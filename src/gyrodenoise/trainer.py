@@ -173,23 +173,19 @@ def _chunk(items, size):
     return out
 
 
-def fit(train_data, val_data, params=None, train_cfg: TrainConfig = None,
-        loss_cfg: loss.LossConfig = None, zero_input=False, log_path=None,
-        start_epoch=0, adam_state=None, quiet=True):
+def fit(train_data, val_data, params: network.ModelParams,
+        tcfg: TrainConfig, lcfg: loss.LossConfig, zero_input=False,
+        log_path=None, start_epoch=0, quiet=True):
     """Run the training loop. train_data/val_data are lists of
     (ImuSequence, GroundTruth) pairs with ground truth already resampled
     onto the IMU clock. Returns a TrainResult.
 
-    start_epoch > 0 resumes a run: the schedule and the metrics log continue
-    from that epoch (params and adam_state must come from the interrupted
-    run for an exact continuation).
+    start_epoch > 0 resumes a run from the given parameters: the schedule
+    and the metrics log continue from that epoch, but Adam's moments start
+    at zero and the RNG is reseeded to seed + start_epoch (not exact).
     """
     if not train_data:
         raise ValueError("empty training set")
-    tcfg = train_cfg or TrainConfig()
-    lcfg = loss_cfg or loss.LossConfig()
-    if params is None:
-        params = network.ModelParams(seed=tcfg.seed)
     if start_epoch == 0:
         params.set_input_stats(*compute_input_stats(train_data))
     stride = lcfg.max_j
@@ -204,7 +200,7 @@ def fit(train_data, val_data, params=None, train_cfg: TrainConfig = None,
             )
 
     rng = np.random.default_rng(tcfg.seed + start_epoch)
-    state = adam_state or AdamState()
+    state = AdamState()
 
     val_batches = [
         loss.make_batch(seq, gt, _val_starts(len(seq), t_win, stride), t_win,

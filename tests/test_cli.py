@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import threading
@@ -7,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from gyrodenoise import autodiff, cli, data, evaluator, network
+from gyrodenoise import autodiff, cli, data, evaluator, network, trainer
 
 
 def run(*argv):
@@ -59,8 +60,10 @@ def test_synth_zero_rate_is_data_error(tmp_path):
     ("--gyro-bias", "nan,0,0", "bias"),
     ("--acc-bias", "0,-inf,0", "bias"),
     ("--noise-std", "0,0,0,0,0,inf", "noise_std"),
+    ("--noise-std", "-0.01,0,0,0,0,0", "noise_std"),
     ("--bias-walk", "nan,0,0,0,0,0", "bias_walk_std"),
     ("--bias-walk", "0,-0.1,0,0,0,0", "bias_walk_std"),
+    ("--bias-walk", "-0.1,0,0,0,0,0", "bias_walk_std"),
     ("--duration", "0", "2 samples"),
     ("--duration", "0.001", "2 samples"),
     ("--duration", "-1", "2 samples"),
@@ -79,6 +82,24 @@ def test_synth_refuses_out_of_domain_input_before_writing(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("gyro_bias", "-0.02,0,0"),
+    ("acc_bias", "-.5,0.1,0"),
+    ("noise_std", "-0.0,0,0,0.01,0,0"),
+    ("bias_walk", "-0,0,0,1e-3,0,0"),
+])
+def test_synth_comma_list_may_start_with_a_negative_number(tmp_path, flag,
+                                                           value):
+    # argparse read "-0.02,0,0" after a space as an option and exited 1
+    spaced = synth_scene(tmp_path, name="spaced", duration=2.0,
+                         **{flag: value})
+    joined = str(tmp_path / "joined")
+    assert run("synth", "--duration", "2", "--rate", "200", "--seed", "7",
+               f"--{flag.replace('_', '-')}={value}", "--out", joined) == 0
+    for fname in ("imu.csv", "gt.csv", "calib.json"):
+        assert read(spaced, fname) == read(joined, fname)
 
 
 def test_synth_writes_a_two_sample_scene_at_the_bounds(tmp_path):
@@ -259,6 +280,50 @@ def test_bad_fit_setting_is_data_error_before_loading(tmp_path, capsys,
     assert run(command, "--imu", missing, "--gt", missing, "--out",
                str(tmp_path / "run"), flag, value) == cli.EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("train.window_len = 1e3", "config key 'train.window_len': invalid "
+                               "literal for int() with base 10: '1e3'"),
+    ("train.lr0 = fast", "config key 'train.lr0': could not convert"),
+    ("loss.js = 16,x", "config key 'loss.js': invalid literal for int()"),
+    ("loss.huber_delta = 1/2", "config key 'loss.huber_delta': could not"),
+    ("net.dropout = half", "config key 'net.dropout': could not convert"),
+    ("net.dropout = -0.1", "dropout -0.1: must be in [0, 1)"),
+    ("net.dropout = nan", "dropout nan: must be in [0, 1)"),
+    ("net.dropout = 1.5", "dropout 1.5: must be in [0, 1)"),
+])
+def test_bad_config_setting_is_data_error_before_loading(tmp_path, capsys,
+                                                         line, message):
+    # data_root holds no data: the check must fail before any load
+    path = write_config(tmp_path, (f"data_root = {tmp_path}\n"
+                                   f"split.s1 = train\n{line}\n"))
+    assert run("train", "--config", path,
+               "--out", str(tmp_path / "run")) == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, defaults, dropout", [
+    ("train", {}, "0.1"),
+    ("calibrate", dict(restart_period=100, weight_decay=0.0, augment_std=0.0),
+     "0.0"),
+])
+def test_fit_snapshot_records_every_resolved_setting(tmp_path, command,
+                                                     defaults, dropout):
+    synth_scene(tmp_path, name="s1", duration=12.0)
+    path = write_config(tmp_path, (
+        f"data_root = {tmp_path}\nsplit.s1 = train\ntrain.lr0 = 0.005\n"
+        "train.window_len = 640\nloss.huber_delta = 0.01\n"))
+    outdir = tmp_path / "run"
+    assert run(command, "--config", path, "--out", str(outdir),
+               "--epochs", "1", "--quiet") == 0
+    tcfg = trainer.TrainConfig(**defaults, epochs=1, lr0=0.005,
+                               window_len=640)
+    want = {f"train.{f}": str(v) for f, v in dataclasses.asdict(tcfg).items()}
+    want.update({"loss.js": "16,32", "loss.huber_delta": "0.01",
+                 "net.dropout": dropout})
+    snapshot = data.parse_config(outdir / "config_snapshot.cfg")
+    assert {key: snapshot.get(key) for key in want} == want
 
 
 def test_val_frac_zero_validates_on_the_training_data(tmp_path):

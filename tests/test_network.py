@@ -241,6 +241,20 @@ def test_checkpoint_of_another_structure_is_refused(tmp_path, edit, message):
         network.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("dropout", [-0.1, 1.0, 1.5, float("nan"),
+                                     float("inf")])
+def test_dropout_outside_unit_interval_is_refused(tmp_path, dropout):
+    with pytest.raises(ValueError, match=r"dropout .*: must be in \[0, 1\)"):
+        network.NetConfig(dropout=dropout)
+    path = tmp_path / "ckpt.json"
+    network.save_checkpoint(path, network.ModelParams())
+    payload = json.loads(path.read_text())
+    payload["config"]["dropout"] = dropout  # NaN and Infinity in the JSON
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"dropout .*: must be in \[0, 1\)"):
+        network.load_checkpoint(path)
+
+
 def test_checkpoint_payload_length_and_version_are_checked(tmp_path):
     path = tmp_path / "ckpt.json"
     network.save_checkpoint(path, network.ModelParams())
@@ -344,9 +358,9 @@ def test_integrate_corrected_peak_memory_12k_samples(traced_peak):
 
 def test_integrate_corrected_peak_memory_in_place_kernels(traced_peak):
     # the same forward as above: conv, batchnorm and GELU without a graph
-    # allocate only their result buffers and one conv tap buffer, which
-    # puts the traced peak near 38 MB; plain-expression kernels build a
-    # fresh (1, C, 12,510) temporary per step and peak near 63 MB
+    # allocate their result, the buffer their backward would keep and one
+    # conv tap buffer, and fill them in place; plain-expression kernels
+    # build a fresh (1, C, T) temporary per step
     seq, r0 = _scene_sequence(60.0, seed=10)
     params = _trained_like_params()
     peak = traced_peak(lambda: network.integrate_corrected(params, seq, r0))
