@@ -377,6 +377,13 @@ def cmd_evaluate(args):
     if not all(0 < d < np.inf for d in distances):
         raise data.ValidationError(
             f"distances {args.distances!r}: each must be finite and positive")
+    # a repeated method would be scored and reported twice, and a repeated
+    # distance would silently give one bucket
+    for flag, given, values in (("methods", args.methods, methods),
+                                ("distances", args.distances, distances)):
+        if len(set(values)) != len(values):
+            raise data.ValidationError(
+                f"{flag} {given!r}: each may appear only once")
     cfg = _read_config(args.config) if args.config else {}
     params = None
     if args.checkpoint:
@@ -425,18 +432,31 @@ def _add_train_flags(p):
                        default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of each of its subparsers, that
+    reads a flag's negative value after a space as a value.
+
+    argparse reads only plain negative numbers (-3, -.5) as values and
+    any other word that starts with '-' as an option, which would leave
+    `--lr0 -1e-3` or `--gyro-bias -0.02,0,0` without its value. This one
+    also takes the exponent form and a comma list that starts with a
+    negative number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-[\d.][^,]*,.*")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gyrodenoise",
         description="Gyro denoising and open-loop attitude estimation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
-    # argparse takes a plain negative number for a value, but reads a comma
-    # list that starts with one (--gyro-bias -0.02,0,0) as an option
-    p._negative_number_matcher = re.compile(
-        p._negative_number_matcher.pattern + r"|^-[\d.][^,]*,.*")
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--rate", type=float, default=200.0)
     p.add_argument("--seed", type=int, required=True)

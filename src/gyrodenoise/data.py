@@ -10,10 +10,25 @@ rejects goes through a line parser, which names the line of any malformed,
 short or non-finite row. The writers emit every value in %.17g, which reads
 back to the same float64. The sample period is measured from the IMU
 stamps, never configured.
+
+Each successful parse is kept beside its CSV in `<file>.parsed.npz`, keyed
+by the SHA-256 of the file's bytes, the column count and SIDECAR_LAYOUT; a
+later read of the same bytes loads the arrays from it instead of parsing
+again, with the same bits. A sidecar that is missing, unreadable or holds
+another key is a miss. It is written only where the CSV's directory is
+writable, with the CSV's permission bits, and it is always safe to
+delete.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import tempfile
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +96,12 @@ class GroundTruth:
 
 # -- parsing -------------------------------------------------------------------
 
+# what a sidecar holds and how it is keyed: change it whenever either does,
+# so that no sidecar an earlier layout wrote is ever read
+SIDECAR_LAYOUT = "gyrodenoise.csv-rows.v1"
+SIDECAR_SUFFIX = ".parsed.npz"
+
+
 def _read_csv_rows(path, n_cols_min):
     """Numeric rows of a CSV whose first column is a timestamp in ns.
 
@@ -89,6 +110,77 @@ def _read_csv_rows(path, n_cols_min):
     the next n_cols_min - 1 columns as a float (N, n_cols_min - 1) array.
     Non-numeric lines before the first data row are headers.
 
+    The file is read once. When its sidecar holds the key of those bytes,
+    the arrays come from the sidecar; otherwise the bytes are parsed and
+    the result is stored in the sidecar for the next read.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    key = (f"{SIDECAR_LAYOUT} columns={n_cols_min} "
+           f"sha256={hashlib.sha256(raw).hexdigest()}")
+    sidecar = os.fspath(path) + SIDECAR_SUFFIX
+    rows = _read_sidecar(sidecar, key, n_cols_min)
+    if rows is None:
+        rows = _parse_csv(path, raw, n_cols_min)
+        _write_sidecar(path, sidecar, key, *rows)
+    return rows
+
+
+def _read_sidecar(path, key, n_cols_min):
+    """(t, values) from the sidecar at path when it holds key, else None."""
+    try:
+        # np.load leaves a file it opened itself open when the archive is
+        # malformed
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
+            if z["key"].tolist() != key:
+                return None
+            t, values = z["t"], z["v"]
+    # what np.load raises on a file that is not a whole npz archive of
+    # arrays (TypeError: a lone .npy array is no context manager)
+    except (OSError, ValueError, KeyError, EOFError, TypeError,
+            zipfile.BadZipFile):
+        return None
+    if (t.dtype != np.int64 or values.dtype != np.float64 or t.ndim != 1
+            or values.shape != (len(t), n_cols_min - 1)):
+        return None
+    return t, values
+
+
+def _write_sidecar(path, sidecar, key, t, values):
+    """Store the parse of the CSV at path in sidecar, with the CSV's
+    permission bits, so whoever can read the CSV can read it too.
+
+    It is written to a temporary file in the same directory and moved into
+    place, so a reader finds either no sidecar or a whole one. A directory
+    that cannot be written means no sidecar, and no temporary file is left
+    behind.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(sidecar) or ".",
+                                   suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as f:
+            np.savez(f, key=np.array(key), t=t, v=values)
+        shutil.copymode(path, tmp)
+        os.replace(tmp, sidecar)
+    except OSError:
+        pass  # no sidecar: the next read parses again
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _lines(raw):
+    """The lines of a file's bytes as open(path) reads them: the locale's
+    encoding and universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw))
+
+
+def _parse_csv(path, raw, n_cols_min):
+    """_read_csv_rows's (t, values) parsed from raw, the bytes of path.
+
     The lines after the headers are read in one np.loadtxt pass. Any file
     that pass rejects (a float-formatted or out-of-range stamp, a short row,
     a malformed field, a blank-looking or comment line after the first data
@@ -96,12 +188,12 @@ def _read_csv_rows(path, n_cols_min):
     owns every error message and the truncation of float stamps. A '#' is
     data to loadtxt here, so "1,2,3 # note" fails both readers alike.
     """
-    skip = _header_lines(path)
+    skip = _header_lines(_lines(raw))
     if skip is None:
         raise ValidationError(f"{path}: no data rows")
     try:
         rows = np.loadtxt(
-            path, delimiter=",", comments=None, skiprows=skip,
+            _lines(raw), delimiter=",", comments=None, skiprows=skip,
             usecols=range(n_cols_min), ndmin=1,
             dtype=[("t", "<i8"), ("v", "<f8", (n_cols_min - 1,))])
     except ValueError:
@@ -110,57 +202,55 @@ def _read_csv_rows(path, n_cols_min):
         if np.isfinite(rows["v"]).all():
             return (np.ascontiguousarray(rows["t"]),
                     np.ascontiguousarray(rows["v"]))
-    return _parse_csv_lines(path, n_cols_min, skip)
+    return _parse_csv_lines(path, _lines(raw), n_cols_min, skip)
 
 
-def _header_lines(path):
+def _header_lines(lines):
     """Number of lines before the first one whose first field is a
     timestamp, or None when no line is."""
-    with open(path) as f:
-        for i, line in enumerate(f):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                _parse_stamp(line.split(",")[0])
-            except ValueError:
-                continue
-            return i
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            _parse_stamp(line.split(",")[0])
+        except ValueError:
+            continue
+        return i
     return None
 
 
-def _parse_csv_lines(path, n_cols_min, skip):
-    """_read_csv_rows for the lines after the first skip, one at a time;
-    every error names its line."""
+def _parse_csv_lines(path, lines, n_cols_min, skip):
+    """_parse_csv for the lines of path after the first skip, one at a
+    time; every error names its line."""
     stamps, rows, linenos = [], [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if lineno <= skip or not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                stamp = _parse_stamp(parts[0])
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: malformed numeric field"
-                ) from None
-            if len(parts) < n_cols_min:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected at least {n_cols_min} "
-                    f"columns, got {len(parts)}"
-                )
-            try:
-                row = [float(x) for x in parts[1:n_cols_min]]
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: malformed numeric field"
-                ) from None
-            if stamp is None:
-                raise ValidationError(f"{path}: line {lineno}: non-finite value")
-            stamps.append(stamp)
-            rows.append(row)
-            linenos.append(lineno)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if lineno <= skip or not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        try:
+            stamp = _parse_stamp(parts[0])
+        except ValueError:
+            raise ValidationError(
+                f"{path}: line {lineno}: malformed numeric field"
+            ) from None
+        if len(parts) < n_cols_min:
+            raise ValidationError(
+                f"{path}: line {lineno}: expected at least {n_cols_min} "
+                f"columns, got {len(parts)}"
+            )
+        try:
+            row = [float(x) for x in parts[1:n_cols_min]]
+        except ValueError:
+            raise ValidationError(
+                f"{path}: line {lineno}: malformed numeric field"
+            ) from None
+        if stamp is None:
+            raise ValidationError(f"{path}: line {lineno}: non-finite value")
+        stamps.append(stamp)
+        rows.append(row)
+        linenos.append(lineno)
     values = np.array(rows)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():

@@ -26,6 +26,10 @@ class LossConfig:
         for j in self.js:
             if j < 1 or (j & (j - 1)) != 0:
                 raise ValueError(f"j must be a power of two, got {j}")
+        # a negative delta rewards large residuals, and zero learns nothing
+        if not 0.0 < self.huber_delta < np.inf:
+            raise ValueError(f"loss.huber_delta {self.huber_delta!r}: must "
+                             "be finite and positive")
 
     @property
     def max_j(self):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import json
@@ -73,6 +74,7 @@ def test_synth_zero_rate_is_data_error(tmp_path):
     ("--misalign", "nan", "--misalign"),
     ("--misalign", "-0.01", "--misalign"),
     ("--misalign", "inf", "--misalign"),
+    ("--misalign", "-1e-3", "--misalign"),
 ])
 def test_synth_refuses_out_of_domain_input_before_writing(tmp_path, capsys,
                                                           flag, value, named):
@@ -190,6 +192,64 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--methods", "raw,raw"),
+    ("--methods", "raw,zero,raw"),
+    ("--distances", "7,7"),
+    ("--distances", "7,21,7.0"),
+])
+def test_evaluate_refuses_a_repeated_method_or_distance(tmp_path, capsys,
+                                                        flag, value):
+    # raw,raw scored raw twice and wrote two identical rows; 7,7 silently
+    # gave a single bucket
+    scene = synth_scene(tmp_path, duration=2.0)
+    out = tmp_path / "rep"
+    assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+               "--gt", os.path.join(scene, "gt.csv"), "--methods", "raw",
+               "--distances", "0.5", flag, value,
+               "--out", str(out)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{flag[2:]} {value!r}: each may appear only once" in err
+    assert not (out / "aoe.csv").exists()
+
+
+def _float_flags():
+    """(command, flag) for every float-typed flag of every subcommand."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [(command, action.option_strings[-1])
+            for command, sub in commands.items() for action in sub._actions
+            if action.type is float]
+
+
+@pytest.mark.parametrize("command, flag", _float_flags())
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+2", "-.5e1"])
+def test_float_flag_takes_a_negative_exponent_after_a_space(command, flag,
+                                                            value):
+    # argparse read "-1e-3" after a space as an option and exited 1
+    required = {"synth": ["--seed", "1"],
+                "integrate": ["--checkpoint", "c", "--imu", "i", "--gt", "g"]}
+    args = cli.build_parser().parse_args(
+        [command, *required.get(command, []), flag, value])
+    assert getattr(args, flag[2:].replace("-", "_")) == float(value)
+
+
+@pytest.mark.parametrize("value", ["-0.01", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_huber_delta_not_finite_and_positive_is_data_error_before_loading(
+        tmp_path, capsys, command, value):
+    # -0.01 trained on negative losses and 0 learned nothing, both exit 0;
+    # data_root holds no data, so the check must come before any load
+    path = write_config(tmp_path, (f"data_root = {tmp_path}\n"
+                                   f"split.s1 = train\n"
+                                   f"loss.huber_delta = {value}\n"))
+    assert run(command, "--config", path,
+               "--out", str(tmp_path / "run")) == cli.EXIT_DATA
+    assert (f"loss.huber_delta {float(value)!r}: must be finite and positive"
+            in capsys.readouterr().err)
+
+
 def test_evaluate_defaults_are_the_evaluators():
     args = cli.build_parser().parse_args(["evaluate"])
     assert args.methods == "raw,calibrated,proposed,zero"
@@ -270,6 +330,10 @@ def test_divergence_into_large_residual_is_exit_3(tmp_path):
     ("--val-frac", "-0.5", "--val-frac -0.5: must be in [0, 1)"),
     ("--val-frac", "nan", "--val-frac nan: must be in [0, 1)"),
     ("--val-frac", "1", "--val-frac 1.0: must be in [0, 1)"),
+    ("--lr0", "-1e-3", "lr0 must be positive"),
+    ("--weight-decay", "-2.5E-4", "weight_decay and augment_std must be >= 0"),
+    ("--augment-std", "-1e-3", "weight_decay and augment_std must be >= 0"),
+    ("--val-frac", "-1e-3", "--val-frac -0.001: must be in [0, 1)"),
 ])
 @pytest.mark.parametrize("command", ["train", "calibrate"])
 def test_bad_fit_setting_is_data_error_before_loading(tmp_path, capsys,

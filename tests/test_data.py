@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -139,7 +140,9 @@ def test_reader_equals_line_parser(tmp_path, case, newline):
     with open(p, "w", newline="") as f:
         f.write(newline.join(READER_CASES[case]) + newline)
     t, values = data._read_csv_rows(p, 8)
-    t_ref, values_ref = data._parse_csv_lines(p, 8, data._header_lines(p))
+    with open(p) as f, open(p) as g:
+        t_ref, values_ref = data._parse_csv_lines(p, f, 8,
+                                                  data._header_lines(g))
     assert t.dtype == np.int64 and values.dtype == np.float64
     assert t.flags.c_contiguous and values.flags.c_contiguous
     np.testing.assert_array_equal(t, t_ref)
@@ -152,7 +155,8 @@ def test_reader_takes_one_pass_without_the_line_parser(tmp_path, case,
                                                        monkeypatch):
     p = tmp_path / "gt.csv"
     p.write_text("\r\n".join(READER_CASES[case]) + "\r\n")
-    want = data._parse_csv_lines(p, 8, data._header_lines(p))
+    with open(p) as f, open(p) as g:
+        want = data._parse_csv_lines(p, f, 8, data._header_lines(g))
 
     def unused(*args):
         raise AssertionError("fell back to the line parser")
@@ -180,6 +184,190 @@ def test_header_only_file_has_no_data_rows_and_no_warning(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(data.ValidationError, match="no data rows"):
             data._read_csv_rows(p, 7)
+
+
+# -- the parsed sidecar ---------------------------------------------------------
+
+IMU_LINES = ["t_ns,gx,gy,gz,ax,ay,az", "0,1,2,3,4,5,6",
+             "5000000,-0.0,5e-324,0.1,-1e308,2.5,9.81"]
+
+
+def _sidecar(p):
+    return p.parent / (p.name + data.SIDECAR_SUFFIX)
+
+
+def _count_parses(monkeypatch):
+    """The paths that data._parse_csv parses from here on."""
+    calls = []
+    parse = data._parse_csv
+
+    def counted(path, raw, n_cols_min):
+        calls.append(path)
+        return parse(path, raw, n_cols_min)
+
+    monkeypatch.setattr(data, "_parse_csv", counted)
+    return calls
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_sidecar_hit_has_the_bits_of_a_fresh_parse(tmp_path, monkeypatch,
+                                                   case):
+    p = tmp_path / "data.csv"
+    with open(p, "w", newline="") as f:
+        f.write("\r\n".join(READER_CASES[case]) + "\r\n")
+    fresh = data._parse_csv(p, p.read_bytes(), 8)
+    _assert_same_bits(data._read_csv_rows(p, 8), fresh)
+    assert _sidecar(p).is_file()
+
+    def parse(*args):
+        raise AssertionError("parsed the file again")
+
+    monkeypatch.setattr(data, "_parse_csv", parse)
+    _assert_same_bits(data._read_csv_rows(p, 8), fresh)
+
+
+def test_edited_file_of_the_same_length_misses_and_rewrites_the_sidecar(
+        tmp_path, monkeypatch):
+    p = tmp_path / "imu.csv"
+    p.write_text("\n".join(IMU_LINES) + "\n")
+    data._read_csv_rows(p, 7)
+    stat = p.stat()
+    # one digit changed, with the size and the modification time kept
+    p.write_text("\n".join(IMU_LINES).replace("9.81", "9.82") + "\n")
+    os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert p.stat().st_size == stat.st_size
+    calls = _count_parses(monkeypatch)
+    assert data._read_csv_rows(p, 7)[1][1, 5] == 9.82
+    assert data._read_csv_rows(p, 7)[1][1, 5] == 9.82
+    assert calls == [p]
+
+
+def test_sidecar_key_holds_the_column_count(tmp_path, monkeypatch):
+    p = tmp_path / "gt.csv"
+    p.write_text("\n".join(READER_CASES["no header"]) + "\n")
+    data._read_csv_rows(p, 8)
+    calls = _count_parses(monkeypatch)
+    t, values = data._read_csv_rows(p, 7)
+    assert values.shape == (len(t), 6) and calls == [p]
+
+
+def _spoil(p, how, monkeypatch):
+    side = _sidecar(p)
+    good = side.read_bytes()
+    t, values = data._parse_csv(p, p.read_bytes(), 7)
+    if how == "garbage":
+        side.write_bytes(b"not an archive\n" * 50)
+    elif how == "empty":
+        side.write_bytes(b"")
+    elif how.startswith("truncated"):
+        side.write_bytes(good[:len(good) // (2 if how == "truncated" else 10)])
+    elif how == "bit flip":
+        side.write_bytes(good[:200] + bytes([good[200] ^ 1]) + good[201:])
+    elif how == "no key":
+        np.savez(side, t=t, v=values)
+    elif how == "npy":
+        with open(side, "wb") as f:
+            np.save(f, values)
+    elif how == "other layout":
+        with monkeypatch.context() as m:
+            m.setattr(data, "SIDECAR_LAYOUT", "an earlier layout")
+            side.unlink()
+            data._read_csv_rows(p, 7)
+
+
+@pytest.mark.parametrize("how", ["garbage", "empty", "truncated",
+                                 "truncated head", "bit flip", "no key",
+                                 "npy", "other layout"])
+def test_unreadable_foreign_or_stale_sidecar_is_a_miss_and_is_replaced(
+        tmp_path, monkeypatch, how):
+    p = tmp_path / "imu.csv"
+    p.write_text("\n".join(IMU_LINES) + "\n")
+    want = data._read_csv_rows(p, 7)
+    _spoil(p, how, monkeypatch)
+    calls = _count_parses(monkeypatch)
+    _assert_same_bits(data._read_csv_rows(p, 7), want)
+    _assert_same_bits(data._read_csv_rows(p, 7), want)
+    assert calls == [p]
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o600])
+def test_sidecar_has_the_permission_bits_of_its_csv(tmp_path, mode):
+    p = tmp_path / "imu.csv"
+    p.write_text("\n".join(IMU_LINES) + "\n")
+    p.chmod(mode)
+    data._read_csv_rows(p, 7)
+    assert _sidecar(p).stat().st_mode & 0o7777 == mode
+
+
+@pytest.mark.parametrize("fails", ["os.replace", "tempfile.mkstemp",
+                                   "shutil.copymode"])
+def test_failed_sidecar_write_returns_the_parse_and_leaves_no_file(
+        tmp_path, monkeypatch, fails):
+    p = tmp_path / "imu.csv"
+    p.write_text("\n".join(IMU_LINES) + "\n")
+    want = data._parse_csv(p, p.read_bytes(), 7)
+
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(fails, fail)
+    _assert_same_bits(data._read_csv_rows(p, 7), want)
+    assert os.listdir(tmp_path) == ["imu.csv"]
+
+
+def test_evaluate_is_the_same_without_with_and_from_sidecars(tmp_path,
+                                                            monkeypatch):
+    scene = tmp_path / "scene"
+    assert cli.main(["synth", "--duration", "2", "--seed", "3",
+                     "--gyro-bias", "0.01,0,0", "--out", str(scene)]) == 0
+
+    def evaluate(out):
+        assert cli.main(["evaluate", "--imu", str(scene / "imu.csv"),
+                         "--gt", str(scene / "gt.csv"), "--methods",
+                         "raw,zero", "--distances", "0.5",
+                         "--out", str(tmp_path / out)]) == 0
+        return {name: (tmp_path / out / name).read_bytes()
+                for name in ("aoe.csv", "roe.npy", "summary.json",
+                             "roe_boxplot.svg")}
+
+    def fail(*args, **kwargs):
+        raise OSError(13, "Permission denied")
+
+    with monkeypatch.context() as m:
+        m.setattr("os.replace", fail)
+        uncached = evaluate("uncached")
+    assert not any(name.endswith((".npz", ".tmp"))
+                   for name in os.listdir(scene))
+    assert evaluate("miss") == uncached
+    assert _sidecar(scene / "imu.csv").is_file()
+    assert _sidecar(scene / "gt.csv").is_file()
+    calls = _count_parses(monkeypatch)
+    assert evaluate("hit") == uncached
+    assert calls == []
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["5000000,0,x,0,0,0,0"], "line 3: malformed numeric field"),
+    (["5000000,nan,0,0,0,0,0"], "line 3: non-finite value"),
+    (["5000000,0,0,0"], "line 3: expected at least 7 columns"),
+    (["9223372036854775808,0,0,0,0,0,0"], "line 3: timestamp outside"),
+    ([], "no data rows"),
+])
+def test_failed_parse_raises_every_time_and_writes_no_sidecar(tmp_path, rows,
+                                                              message):
+    p = tmp_path / "imu.csv"
+    head = IMU_LINES[:2] if rows else IMU_LINES[:1]
+    p.write_text("\n".join(head + rows) + "\n")
+    for _ in range(2):
+        with pytest.raises(data.ValidationError, match=message):
+            data._read_csv_rows(p, 7)
+    assert os.listdir(tmp_path) == ["imu.csv"]
 
 
 # -- writers ------------------------------------------------------------------------

@@ -50,6 +50,13 @@ def test_tree_rejects_bad_shapes():
         loss.tree_products(random_rotations(rng, 12), 8)
 
 
+@pytest.mark.parametrize("delta", [-0.01, 0.0, -0.0, np.nan, np.inf])
+def test_loss_config_refuses_a_huber_delta_not_finite_and_positive(delta):
+    with pytest.raises(ValueError, match="loss.huber_delta .*: must be "
+                                         "finite and positive"):
+        loss.LossConfig(huber_delta=delta)
+
+
 # -- increment loss ----------------------------------------------------------------
 
 def test_increment_loss_zero_for_perfect_prediction():
