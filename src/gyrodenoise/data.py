@@ -12,20 +12,25 @@ back to the same float64. The sample period is measured from the IMU
 stamps, never configured.
 
 Each successful parse is kept beside its CSV in `<file>.parsed.npz`, keyed
-by the SHA-256 of the file's bytes, the column count and SIDECAR_LAYOUT; a
-later read of the same bytes loads the arrays from it instead of parsing
-again, with the same bits. A sidecar that is missing, unreadable or holds
-another key is a miss. It is written only where the CSV's directory is
-writable, with the CSV's permission bits, and it is always safe to
-delete.
+by the SHA-256 of the file's bytes, the column count, the text encoding
+and parser_version(); a later read of the same bytes loads the arrays
+from it instead of parsing again, with the same bits. parser_version()
+holds the SHA-256 of this module's source and numpy's version, so any
+change to what a parse returns or rejects, or to what a sidecar holds,
+turns every earlier sidecar into a miss by itself. A sidecar that is
+missing, unreadable or holds another key is a miss. It is written only
+where the CSV's directory is writable, with the CSV's permission bits,
+and it is always safe to delete.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
-import io
+import locale
 import os
+import pathlib
 import shutil
 import tempfile
 import zipfile
@@ -96,10 +101,18 @@ class GroundTruth:
 
 # -- parsing -------------------------------------------------------------------
 
-# what a sidecar holds and how it is keyed: change it whenever either does,
-# so that no sidecar an earlier layout wrote is ever read
-SIDECAR_LAYOUT = "gyrodenoise.csv-rows.v1"
 SIDECAR_SUFFIX = ".parsed.npz"
+
+
+@functools.cache
+def parser_version():
+    """Part of every sidecar key: the SHA-256 of this module's source (the
+    parse, its checks and the sidecar format all live here) and numpy's
+    version (np.loadtxt's rules), so that no sidecar another version of the
+    parser wrote is ever read."""
+    with open(__file__, "rb") as f:
+        source = hashlib.sha256(f.read()).hexdigest()
+    return f"gyrodenoise.data sha256={source} numpy={np.__version__}"
 
 
 def _read_csv_rows(path, n_cols_min):
@@ -110,19 +123,23 @@ def _read_csv_rows(path, n_cols_min):
     the next n_cols_min - 1 columns as a float (N, n_cols_min - 1) array.
     Non-numeric lines before the first data row are headers.
 
-    The file is read once. When its sidecar holds the key of those bytes,
-    the arrays come from the sidecar; otherwise the bytes are parsed and
-    the result is stored in the sidecar for the next read.
+    When the file's sidecar holds the key of its bytes, the arrays come
+    from the sidecar; otherwise the file is parsed, and the result is
+    stored in the sidecar for the next read when the file's bytes did not
+    change during the parse.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    key = (f"{SIDECAR_LAYOUT} columns={n_cols_min} "
+    raw = pathlib.Path(path).read_bytes()
+    key = (f"{parser_version()} columns={n_cols_min} "
+           f"encoding={locale.getpreferredencoding(False)} "
            f"sha256={hashlib.sha256(raw).hexdigest()}")
     sidecar = os.fspath(path) + SIDECAR_SUFFIX
     rows = _read_sidecar(sidecar, key, n_cols_min)
     if rows is None:
-        rows = _parse_csv(path, raw, n_cols_min)
-        _write_sidecar(path, sidecar, key, *rows)
+        # np.loadtxt reads a path in chunks but a stream over raw a line at
+        # a time, so the path is parsed, and _write_sidecar checks that the
+        # file still holds raw
+        rows = _parse_csv(path, n_cols_min)
+        _write_sidecar(path, raw, sidecar, key, *rows)
     return rows
 
 
@@ -131,14 +148,17 @@ def _read_sidecar(path, key, n_cols_min):
     try:
         # np.load leaves a file it opened itself open when the archive is
         # malformed
-        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
-            if z["key"].tolist() != key:
-                return None
-            t, values = z["t"], z["v"]
+        with open(path, "rb") as f:
+            z = np.load(f, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                return None  # a lone .npy array
+            with z:
+                if z["key"].tolist() != key:
+                    return None
+                t, values = z["t"], z["v"]
     # what np.load raises on a file that is not a whole npz archive of
-    # arrays (TypeError: a lone .npy array is no context manager)
-    except (OSError, ValueError, KeyError, EOFError, TypeError,
-            zipfile.BadZipFile):
+    # arrays
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
     if (t.dtype != np.int64 or values.dtype != np.float64 or t.ndim != 1
             or values.shape != (len(t), n_cols_min - 1)):
@@ -146,22 +166,28 @@ def _read_sidecar(path, key, n_cols_min):
     return t, values
 
 
-def _write_sidecar(path, sidecar, key, t, values):
+def _write_sidecar(path, raw, sidecar, key, t, values):
     """Store the parse of the CSV at path in sidecar, with the CSV's
-    permission bits, so whoever can read the CSV can read it too.
+    permission bits, so whoever can read the CSV can read it too. A file
+    that no longer holds raw, the bytes key was made from, was rewritten
+    during its parse and is not stored.
 
     It is written to a temporary file in the same directory and moved into
     place, so a reader finds either no sidecar or a whole one. A directory
     that cannot be written means no sidecar, and no temporary file is left
-    behind.
+    behind; one that a killed process leaves is named after its sidecar
+    (`<sidecar>.<random>.tmp`).
     """
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(sidecar) or ".",
+                                   prefix=os.path.basename(sidecar) + ".",
                                    suffix=".tmp")
     except OSError:
         return
     try:
         with os.fdopen(fd, "wb") as f:
+            if pathlib.Path(path).read_bytes() != raw:
+                return
             np.savez(f, key=np.array(key), t=t, v=values)
         shutil.copymode(path, tmp)
         os.replace(tmp, sidecar)
@@ -172,14 +198,8 @@ def _write_sidecar(path, sidecar, key, t, values):
             os.unlink(tmp)
 
 
-def _lines(raw):
-    """The lines of a file's bytes as open(path) reads them: the locale's
-    encoding and universal newlines."""
-    return io.TextIOWrapper(io.BytesIO(raw))
-
-
-def _parse_csv(path, raw, n_cols_min):
-    """_read_csv_rows's (t, values) parsed from raw, the bytes of path.
+def _parse_csv(path, n_cols_min):
+    """_read_csv_rows's (t, values), parsed from the file at path.
 
     The lines after the headers are read in one np.loadtxt pass. Any file
     that pass rejects (a float-formatted or out-of-range stamp, a short row,
@@ -188,12 +208,12 @@ def _parse_csv(path, raw, n_cols_min):
     owns every error message and the truncation of float stamps. A '#' is
     data to loadtxt here, so "1,2,3 # note" fails both readers alike.
     """
-    skip = _header_lines(_lines(raw))
+    skip = _header_lines(path)
     if skip is None:
         raise ValidationError(f"{path}: no data rows")
     try:
         rows = np.loadtxt(
-            _lines(raw), delimiter=",", comments=None, skiprows=skip,
+            path, delimiter=",", comments=None, skiprows=skip,
             usecols=range(n_cols_min), ndmin=1,
             dtype=[("t", "<i8"), ("v", "<f8", (n_cols_min - 1,))])
     except ValueError:
@@ -202,55 +222,57 @@ def _parse_csv(path, raw, n_cols_min):
         if np.isfinite(rows["v"]).all():
             return (np.ascontiguousarray(rows["t"]),
                     np.ascontiguousarray(rows["v"]))
-    return _parse_csv_lines(path, _lines(raw), n_cols_min, skip)
+    return _parse_csv_lines(path, n_cols_min, skip)
 
 
-def _header_lines(lines):
+def _header_lines(path):
     """Number of lines before the first one whose first field is a
     timestamp, or None when no line is."""
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            _parse_stamp(line.split(",")[0])
-        except ValueError:
-            continue
-        return i
+    with open(path) as f:
+        for i, line in enumerate(f):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                _parse_stamp(line.split(",")[0])
+            except ValueError:
+                continue
+            return i
     return None
 
 
-def _parse_csv_lines(path, lines, n_cols_min, skip):
-    """_parse_csv for the lines of path after the first skip, one at a
-    time; every error names its line."""
+def _parse_csv_lines(path, n_cols_min, skip):
+    """_read_csv_rows for the lines after the first skip, one at a time;
+    every error names its line."""
     stamps, rows, linenos = [], [], []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if lineno <= skip or not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        try:
-            stamp = _parse_stamp(parts[0])
-        except ValueError:
-            raise ValidationError(
-                f"{path}: line {lineno}: malformed numeric field"
-            ) from None
-        if len(parts) < n_cols_min:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected at least {n_cols_min} "
-                f"columns, got {len(parts)}"
-            )
-        try:
-            row = [float(x) for x in parts[1:n_cols_min]]
-        except ValueError:
-            raise ValidationError(
-                f"{path}: line {lineno}: malformed numeric field"
-            ) from None
-        if stamp is None:
-            raise ValidationError(f"{path}: line {lineno}: non-finite value")
-        stamps.append(stamp)
-        rows.append(row)
-        linenos.append(lineno)
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if lineno <= skip or not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            try:
+                stamp = _parse_stamp(parts[0])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {lineno}: malformed numeric field"
+                ) from None
+            if len(parts) < n_cols_min:
+                raise ValidationError(
+                    f"{path}: line {lineno}: expected at least {n_cols_min} "
+                    f"columns, got {len(parts)}"
+                )
+            try:
+                row = [float(x) for x in parts[1:n_cols_min]]
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {lineno}: malformed numeric field"
+                ) from None
+            if stamp is None:
+                raise ValidationError(f"{path}: line {lineno}: non-finite value")
+            stamps.append(stamp)
+            rows.append(row)
+            linenos.append(lineno)
     values = np.array(rows)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():

@@ -1,3 +1,5 @@
+import fnmatch
+import hashlib
 import os
 import warnings
 
@@ -140,9 +142,7 @@ def test_reader_equals_line_parser(tmp_path, case, newline):
     with open(p, "w", newline="") as f:
         f.write(newline.join(READER_CASES[case]) + newline)
     t, values = data._read_csv_rows(p, 8)
-    with open(p) as f, open(p) as g:
-        t_ref, values_ref = data._parse_csv_lines(p, f, 8,
-                                                  data._header_lines(g))
+    t_ref, values_ref = data._parse_csv_lines(p, 8, data._header_lines(p))
     assert t.dtype == np.int64 and values.dtype == np.float64
     assert t.flags.c_contiguous and values.flags.c_contiguous
     np.testing.assert_array_equal(t, t_ref)
@@ -155,8 +155,7 @@ def test_reader_takes_one_pass_without_the_line_parser(tmp_path, case,
                                                        monkeypatch):
     p = tmp_path / "gt.csv"
     p.write_text("\r\n".join(READER_CASES[case]) + "\r\n")
-    with open(p) as f, open(p) as g:
-        want = data._parse_csv_lines(p, f, 8, data._header_lines(g))
+    want = data._parse_csv_lines(p, 8, data._header_lines(p))
 
     def unused(*args):
         raise AssertionError("fell back to the line parser")
@@ -201,9 +200,9 @@ def _count_parses(monkeypatch):
     calls = []
     parse = data._parse_csv
 
-    def counted(path, raw, n_cols_min):
+    def counted(path, n_cols_min):
         calls.append(path)
-        return parse(path, raw, n_cols_min)
+        return parse(path, n_cols_min)
 
     monkeypatch.setattr(data, "_parse_csv", counted)
     return calls
@@ -221,7 +220,7 @@ def test_sidecar_hit_has_the_bits_of_a_fresh_parse(tmp_path, monkeypatch,
     p = tmp_path / "data.csv"
     with open(p, "w", newline="") as f:
         f.write("\r\n".join(READER_CASES[case]) + "\r\n")
-    fresh = data._parse_csv(p, p.read_bytes(), 8)
+    fresh = data._parse_csv(p, 8)
     _assert_same_bits(data._read_csv_rows(p, 8), fresh)
     assert _sidecar(p).is_file()
 
@@ -248,6 +247,32 @@ def test_edited_file_of_the_same_length_misses_and_rewrites_the_sidecar(
     assert calls == [p]
 
 
+@pytest.mark.parametrize("deleted", [False, True])
+def test_file_rewritten_during_its_parse_is_not_stored(tmp_path, monkeypatch,
+                                                       deleted):
+    p = tmp_path / "imu.csv"
+    p.write_text("\n".join(IMU_LINES) + "\n")
+    parse = data._parse_csv
+
+    def rewritten(path, n_cols_min):
+        p.write_text("\n".join(IMU_LINES).replace("9.81", "9.82") + "\n")
+        rows = parse(path, n_cols_min)
+        if deleted:
+            p.unlink()
+        return rows
+
+    with monkeypatch.context() as m:
+        m.setattr(data, "_parse_csv", rewritten)
+        assert data._read_csv_rows(p, 7)[1][1, 5] == 9.82
+    assert not _sidecar(p).exists()
+    if deleted:
+        return
+    calls = _count_parses(monkeypatch)
+    assert data._read_csv_rows(p, 7)[1][1, 5] == 9.82
+    assert data._read_csv_rows(p, 7)[1][1, 5] == 9.82
+    assert calls == [p]
+
+
 def test_sidecar_key_holds_the_column_count(tmp_path, monkeypatch):
     p = tmp_path / "gt.csv"
     p.write_text("\n".join(READER_CASES["no header"]) + "\n")
@@ -260,7 +285,7 @@ def test_sidecar_key_holds_the_column_count(tmp_path, monkeypatch):
 def _spoil(p, how, monkeypatch):
     side = _sidecar(p)
     good = side.read_bytes()
-    t, values = data._parse_csv(p, p.read_bytes(), 7)
+    t, values = data._parse_csv(p, 7)
     if how == "garbage":
         side.write_bytes(b"not an archive\n" * 50)
     elif how == "empty":
@@ -274,16 +299,23 @@ def _spoil(p, how, monkeypatch):
     elif how == "npy":
         with open(side, "wb") as f:
             np.save(f, values)
-    elif how == "other layout":
+    elif how == "other parser":
         with monkeypatch.context() as m:
-            m.setattr(data, "SIDECAR_LAYOUT", "an earlier layout")
+            m.setattr(data, "parser_version", lambda: "an earlier parser")
+            side.unlink()
+            data._read_csv_rows(p, 7)
+    elif how == "other encoding":
+        with monkeypatch.context() as m:
+            m.setattr("locale.getpreferredencoding",
+                      lambda do_setlocale=True: "latin-1")
             side.unlink()
             data._read_csv_rows(p, 7)
 
 
 @pytest.mark.parametrize("how", ["garbage", "empty", "truncated",
                                  "truncated head", "bit flip", "no key",
-                                 "npy", "other layout"])
+                                 "npy", "other parser",
+                                 "other encoding"])
 def test_unreadable_foreign_or_stale_sidecar_is_a_miss_and_is_replaced(
         tmp_path, monkeypatch, how):
     p = tmp_path / "imu.csv"
@@ -294,6 +326,13 @@ def test_unreadable_foreign_or_stale_sidecar_is_a_miss_and_is_replaced(
     _assert_same_bits(data._read_csv_rows(p, 7), want)
     _assert_same_bits(data._read_csv_rows(p, 7), want)
     assert calls == [p]
+
+
+def test_parser_version_is_the_digest_of_the_data_module_and_numpy():
+    with open(data.__file__, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    assert data.parser_version() == (f"gyrodenoise.data sha256={digest} "
+                                     f"numpy={np.__version__}")
 
 
 @pytest.mark.parametrize("mode", [0o644, 0o640, 0o600])
@@ -311,13 +350,31 @@ def test_failed_sidecar_write_returns_the_parse_and_leaves_no_file(
         tmp_path, monkeypatch, fails):
     p = tmp_path / "imu.csv"
     p.write_text("\n".join(IMU_LINES) + "\n")
-    want = data._parse_csv(p, p.read_bytes(), 7)
+    want = data._parse_csv(p, 7)
 
     def fail(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(fails, fail)
     _assert_same_bits(data._read_csv_rows(p, 7), want)
+    assert os.listdir(tmp_path) == ["imu.csv"]
+
+
+def test_temporary_sidecar_is_named_after_its_sidecar(tmp_path, monkeypatch):
+    p = tmp_path / "imu.csv"
+    p.write_text("\n".join(IMU_LINES) + "\n")
+    moved = []
+
+    def killed(src, dst):
+        moved.append(os.path.basename(src))
+        raise OSError(4, "Interrupted system call")
+
+    monkeypatch.setattr("os.replace", killed)
+    data._read_csv_rows(p, 7)
+    (tmp,) = moved
+    assert tmp.startswith("imu.csv" + data.SIDECAR_SUFFIX + ".")
+    assert tmp.endswith(".tmp")
+    assert fnmatch.fnmatch(tmp, "*" + data.SIDECAR_SUFFIX + "*")
     assert os.listdir(tmp_path) == ["imu.csv"]
 
 
