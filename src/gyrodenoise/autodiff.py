@@ -20,8 +20,9 @@ command line runs inside it.
 The command line also opens a compute lane (`compute_lane()`): a
 one-thread executor whose worker takes half of the heavy kernels' numpy
 work while the thread that opened it does the other half, so a training
-step uses two cores. It is the command's one worker thread: `evaluate`
-runs its proposed track there. The convolution splits its forward by batch
+step uses two cores. It is the command's one worker thread: it also
+takes blocks of the eval forward (`network.RateBlocks`) from the queue the
+calling thread works. The convolution splits its forward by batch
 halves and runs its backward's gw and gx GEMMs side by side; GELU,
 dropout's multiply and every elementwise pass of batchnorm split by batch
 halves. A reduction is never split: each is the one call on the whole
@@ -257,11 +258,14 @@ def compute_lane():
     first submit; a block nested in an open one yields that lane, and the
     outermost block joins the thread on exit.
 
-    Other work may be submitted to the lane too (evaluate scores its
-    proposed track there) on two conditions: a job on the lane never hands
-    work off, since the open lane is per thread and the lane's own thread
-    has none; and while such a job runs, no kernel of this thread reaches
-    LANE_MIN_SIZE, or it would wait for the job to finish."""
+    Other work may be submitted to the lane too on two conditions: a job
+    on the lane never hands work off, since the open lane is per thread and
+    the lane's own thread has none; and while such a job runs, no kernel of
+    this thread reaches LANE_MIN_SIZE, or it would wait for the job to
+    finish. `network.RateBlocks` is such work: the lane and this thread
+    take the eval forward's blocks from one queue, and no kernel of a
+    batch-of-one block of network.EVAL_BLOCK outputs reaches
+    LANE_MIN_SIZE."""
     if _open.lane is not None:
         yield _open.lane
         return
@@ -272,6 +276,12 @@ def compute_lane():
             yield lane
         finally:
             _open.lane = None
+
+
+def open_lane():
+    """The compute lane this thread has open, or None: unlike
+    `compute_lane()` it never opens one."""
+    return _open.lane
 
 
 def _hand_off(lane, there, here):
@@ -290,7 +300,7 @@ def _both(there, here, size):
     on this thread when a lane is open and size reaches LANE_MIN_SIZE, else
     there() then here() on this thread. Grad mode is per thread, so every
     autodiff decision stays on this thread, and a job that builds tensors
-    sets its own grad mode (as `network.integrate_corrected` does with
+    sets its own grad mode (as `network.RateBlocks.work` does with
     `no_grad`)."""
     lane = _open.lane
     if lane is None or size < LANE_MIN_SIZE:

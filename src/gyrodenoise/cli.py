@@ -86,11 +86,11 @@ def _read_config(path):
     val, test or train+val), window.NAME (start, end in s from the first
     stamp), imu.NAME / gt.NAME path overrides, offset.NAME (ground-truth
     clock offset, s), train.<TrainConfig field>, loss.js, loss.huber_delta
-    and net.dropout. Any other key, a per-sequence key whose NAME has no
-    split. key, an unknown role, a window or offset value that is not two
-    comma-separated numbers or one number, or a train, loss or net value
-    of the wrong type is a ValidationError. Returns the flat dict, with
-    the train, loss and net values converted.
+    and net.dropout. Any other key, an unknown format, a per-sequence key
+    whose NAME has no split. key, an unknown role, a window or offset
+    value that is not two comma-separated numbers or one number, or a
+    train, loss or net value of the wrong type is a ValidationError.
+    Returns the flat dict, with the train, loss and net values converted.
     """
     cfg = data.parse_config(path)
     names = {key[len("split."):] for key in cfg if key.startswith("split.")}
@@ -117,7 +117,10 @@ def _read_config(path):
             except ValueError as err:
                 raise data.ValidationError(
                     f"config key {key!r}: {err}") from None
-        elif key not in ("format", "data_root"):
+        elif key == "format":
+            if val not in ("euroc", "tumvi", "synth"):
+                raise data.ValidationError(f"unknown format {val!r}")
+        elif key != "data_root":
             why = ": the sample period is measured" if key == "rate" else ""
             raise data.ValidationError(f"unknown config key {key!r}{why}")
     return cfg
@@ -141,8 +144,6 @@ def _sequence_paths(root, name, fmt):
         base = os.path.join(root, name, "mav0")
         return (os.path.join(base, "imu0", "data.csv"),
                 os.path.join(base, "state_groundtruth_estimate0", "data.csv"))
-    if fmt != "synth":
-        raise data.ValidationError(f"unknown format {fmt!r}")
     return (os.path.join(root, name, "imu.csv"),
             os.path.join(root, name, "gt.csv"))
 
@@ -160,21 +161,26 @@ def _part(label, part, seq, aligned, start, stop):
     return (label, seq.window(start, stop), aligned.window(start, stop))
 
 
-def _load_split(cfg):
-    """Load every split.NAME sequence of a config from _read_config.
+def _load_split(cfg, roles=("train", "val", "test")):
+    """Load the split.NAME sequences of a config from _read_config that
+    give a part to one of roles; no other recording is opened.
 
     Each recording is aligned to its ground truth once, and every part is
     an index slice of it. A train+val sequence trains on its window
     (default 0, 50 s) and validates on what follows; any other role takes
     its window, or the whole recording. The sample period is each
     sequence's own, measured from its stamps.
-    Returns {role: [(name, ImuSequence, aligned GroundTruth), ...]}.
+    Returns {role: [(name, ImuSequence, aligned GroundTruth), ...]} for
+    train, val and test, empty where roles does not name the role.
     """
     fmt = cfg.get("format", "synth")
     root = cfg.get("data_root", ".")
     out = {"train": [], "val": [], "test": []}
     for key, role in sorted(cfg.items()):
         if not key.startswith("split."):
+            continue
+        parts = [part for part in role.split("+") if part in roles]
+        if not parts:
             continue
         name = key[len("split."):]
         imu_path, gt_path = _sequence_paths(root, name, fmt)
@@ -188,24 +194,23 @@ def _load_split(cfg):
         rel = seq.t - seq.t[0]
         start = int(np.searchsorted(rel, lo))
         stop = int(np.searchsorted(rel, hi, side="right"))
-        if role == "train+val":
-            out["train"].append(_part(name, "train", seq, aligned, start, stop))
-            out["val"].append(_part(name, "val", seq, aligned, stop, len(seq)))
-        else:
-            out[role].append(_part(name, role, seq, aligned, start, stop))
+        bounds = ({"train": (start, stop), "val": (stop, len(seq))}
+                  if role == "train+val" else {role: (start, stop)})
+        for part in parts:
+            out[part].append(_part(name, part, seq, aligned, *bounds[part]))
     return out
 
 
-def _load_dataset(args, cfg):
-    """Dataset from either --config (cfg, from _read_config) or a single
-    --imu/--gt pair.
+def _load_dataset(args, cfg, roles):
+    """Dataset from either --config (cfg, from _read_config; only the
+    sequences with a part in roles are loaded) or a single --imu/--gt pair.
 
     The single-sequence form splits the recording in time: the leading
     (1 - val_frac) goes to train, the rest to val; evaluate uses it whole.
     At val_frac 0 the whole recording trains, and fit validates on it.
     """
     if args.config:
-        return _load_split(cfg)
+        return _load_split(cfg, roles)
     if not (args.imu and args.gt):
         raise data.ValidationError("provide --config or both --imu and --gt")
     seq, gt = data.load_sequence(args.imu, args.gt,
@@ -289,7 +294,7 @@ def _run_fit(args, zero_input, defaults):
     # would only add gradient noise
     net_cfg = network.NetConfig(
         dropout=0.0 if zero_input else cfg.get("net.dropout", 0.1))
-    dataset = _load_dataset(args, cfg)
+    dataset = _load_dataset(args, cfg, ("train", "val"))
 
     start_epoch = 0
     if args.resume:
@@ -389,7 +394,10 @@ def cmd_evaluate(args):
     if args.checkpoint:
         params, extra = network.load_checkpoint(args.checkpoint)
         _check_checkpoint_methods(extra, methods)
-    dataset = _load_dataset(args, cfg)
+    # the test sequences, or the train parts when the config names no test
+    has_test = any(key.startswith("split.") and role == "test"
+                   for key, role in cfg.items())
+    dataset = _load_dataset(args, cfg, ("test",) if has_test else ("train",))
     sequences = dataset["test"] or dataset["train"]
     if not sequences:
         raise data.ValidationError(
@@ -438,15 +446,17 @@ class _Parser(argparse.ArgumentParser):
 
     argparse reads only plain negative numbers (-3, -.5) as values and
     any other word that starts with '-' as an option, which would leave
-    `--lr0 -1e-3` or `--gyro-bias -0.02,0,0` without its value. This one
-    also takes the exponent form and a comma list that starts with a
-    negative number.
+    `--lr0 -1e-3`, `--lr0 -inf` or `--gyro-bias -0.02,0,0` without its
+    value. This one also takes the exponent form, -inf, -infinity and -nan
+    in any case, and a comma list that starts with any of these, so the
+    flag's own check judges the value.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-[\d.][^,]*,.*")
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$"
+            r"|^-([\d.]|inf|nan)[^,]*,.*", re.IGNORECASE)
 
 
 def build_parser():
@@ -541,7 +551,8 @@ def main(argv=None):
     try:
         # every GEMM on one thread; the command's one worker thread is the
         # lane: the kernels of a large batch hand it half of their work,
-        # with the bits of one thread, and evaluate its proposed track
+        # and integrate and evaluate share their CNN blocks with it, with
+        # the bits of one thread
         with autodiff.one_blas_thread(), autodiff.compute_lane():
             return args.func(args)
     except trainer.DivergenceError as err:

@@ -200,8 +200,10 @@ class MetricsReport:
         return out
 
 
-def estimate_attitudes(method, seq, gt, params=None):
-    """Attitude track of one baseline method on the ground-truth clock."""
+def estimate_attitudes(method, seq, gt, params=None, blocks=None):
+    """Attitude track of one baseline method on the ground-truth clock.
+    `proposed` joins blocks, a network.RateBlocks of seq already started,
+    when one is given (see network.integrate_corrected)."""
     n = len(gt.rot)
     r0 = gt.rot[0]
     if method in ("calibrated", "proposed") and params is None:
@@ -211,7 +213,7 @@ def estimate_attitudes(method, seq, gt, params=None):
     elif method == "calibrated":
         est = network.integrate_corrected(params, seq, r0, zero_input=True)
     elif method == "proposed":
-        est = network.integrate_corrected(params, seq, r0)
+        est = network.integrate_corrected(params, seq, r0, blocks=blocks)
     elif method == "zero":
         est = np.tile(r0, (n, 1, 1))
     else:
@@ -234,36 +236,42 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
     Ground truth must be aligned to the IMU clock. Returns MetricsReport
     objects ordered by (sequence name, method order as given).
 
-    Per sequence, once its ROE windows are built, the `proposed` attitude
-    track (the blocked CNN forward and its integration) is computed on the
-    autodiff compute lane while this thread estimates and scores the other
-    methods; then it scores `proposed`. Inside an open `compute_lane()`,
-    as under the command line, that is the lane already open; otherwise
-    one is opened and joined here. The lane's matrix products and large
-    ufunc loops release the GIL, so the two overlap on a second core.
-    Every track and score is computed as one after another would compute
-    it, so the reports are bit-identical to a serial run's, and when
-    methods fail the error raised is the first one in method order.
+    Per sequence, the `proposed` CNN forward is a network.RateBlocks queue
+    that the autodiff compute lane starts working before the ROE windows
+    are built; this thread estimates and scores the other methods, then
+    works the queue too, and integrates and scores `proposed` once the
+    lane's job has returned. Inside an open `compute_lane()`, as under the
+    command line, that is the lane already open; otherwise one is opened
+    and joined here. The lane's matrix products and large ufunc loops
+    release the GIL, so the two threads overlap on two cores. A block's
+    rates are the same bits whichever thread computes it, and every track
+    and score is computed as one after another would compute it, so the
+    reports are bit-identical to a serial run's; when methods fail the
+    error raised is the first one in method order.
     """
     reports = []
     with autodiff.compute_lane() as worker:
         for name, seq, gt in sorted(sequences, key=lambda x: x[0]):
-            windows = roe_windows(gt, distances)
-            ahead = (worker.submit(estimate_attitudes, "proposed", seq, gt,
-                                   params)
-                     if "proposed" in methods else None)
+            blocks = (network.RateBlocks(params, seq).start(worker)
+                      if "proposed" in methods and params is not None
+                      else None)
+            try:
+                windows = roe_windows(gt, distances)
+            except BaseException:
+                if blocks is not None:
+                    blocks.stop()  # or the lane computes every block first
+                raise
             # a sequence without gaps is scored on views, not on copies
             good = ~gt.gap_mask if gt.gap_mask.any() else slice(None)
 
             def score(method):
-                est = (ahead.result() if method == "proposed" else
-                       estimate_attitudes(method, seq, gt, params))
+                est = estimate_attitudes(method, seq, gt, params, blocks)
                 a3, ay = aoe(gt.rot[good], est[good])
                 return MetricsReport(method, name, a3, ay,
                                      roe_errors(windows, est))
 
             scored = [None] * len(methods)
-            # the other methods first, while the worker runs
+            # the other methods first, while the lane works the queue
             for i in sorted(range(len(methods)),
                             key=lambda i: methods[i] == "proposed"):
                 scored[i] = _outcome(score, methods[i])

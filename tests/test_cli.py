@@ -235,6 +235,53 @@ def test_float_flag_takes_a_negative_exponent_after_a_space(command, flag,
     assert getattr(args, flag[2:].replace("-", "_")) == float(value)
 
 
+@pytest.mark.parametrize("command, flag", _float_flags())
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-NaN",
+                                   "inf", "nan"])
+def test_float_flag_takes_a_non_finite_value_after_a_space(command, flag,
+                                                           value):
+    # argparse read "-inf" after a space as an option and exited 1, so the
+    # flag's domain check never saw it
+    required = {"synth": ["--seed", "1"],
+                "integrate": ["--checkpoint", "c", "--imu", "i", "--gt", "g"]}
+    args = cli.build_parser().parse_args(
+        [command, *required.get(command, []), flag, value])
+    got = getattr(args, flag[2:].replace("-", "_"))
+    assert repr(got) == repr(float(value))
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+def test_lr0_non_finite_after_a_space_is_the_domain_error(tmp_path, capsys,
+                                                          command, value):
+    missing = str(tmp_path / "none.csv")
+    argv = [command, "--imu", missing, "--gt", missing,
+            "--out", str(tmp_path / "run")]
+    assert run(*argv, f"--lr0={value}") == cli.EXIT_DATA
+    joined = capsys.readouterr().err
+    assert run(*argv, "--lr0", value) == cli.EXIT_DATA
+    assert capsys.readouterr().err == joined
+    assert joined == f"error: lr0 must be finite, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gyro-bias", "-inf,0,0"),
+    ("--acc-bias", "-nan,0,0"),
+    ("--noise-std", "-Infinity,0,0,0,0,0"),
+    ("--bias-walk", "-NaN,0,0,0,0,0"),
+])
+def test_synth_comma_list_may_start_with_a_non_finite_value(tmp_path, capsys,
+                                                            flag, value):
+    # the synth domain check refuses the list, spaced or joined alike
+    argv = ["synth", "--seed", "1", "--out", str(tmp_path / "x")]
+    assert run(*argv, f"{flag}={value}") == cli.EXIT_DATA
+    joined = capsys.readouterr().err
+    assert run(*argv, flag, value) == cli.EXIT_DATA
+    assert capsys.readouterr().err == joined
+    assert joined.startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("value", ["-0.01", "0", "nan", "inf"])
 @pytest.mark.parametrize("command", ["train", "calibrate"])
 def test_huber_delta_not_finite_and_positive_is_data_error_before_loading(
@@ -582,6 +629,44 @@ def test_split_layout_of_the_shipped_configs(tmp_path):
                 np.testing.assert_array_equal(part, full[start:stop])
 
 
+class _Loaded(Exception):
+    """Raised where a command would start work on the data it loaded."""
+
+
+@pytest.mark.parametrize("command, roles, read", [
+    ("train", ("train", "val", "train+val", "test"), {"t", "v", "tv"}),
+    ("calibrate", ("train", "val", "train+val", "test"), {"t", "v", "tv"}),
+    ("evaluate", ("train", "val", "train+val", "test"), {"x"}),
+    # without a test sequence evaluate scores the train parts
+    ("evaluate", ("train", "val", "train+val"), {"t", "tv"}),
+])
+def test_a_command_opens_only_the_recordings_it_uses(tmp_path, monkeypatch,
+                                                     command, roles, read):
+    names = {"train": "t", "val": "v", "train+val": "tv", "test": "x"}
+    lines = [f"data_root = {tmp_path}"]
+    for role in roles:
+        synth_scene(tmp_path, name=names[role], duration=2.0)
+        lines += [f"split.{names[role]} = {role}"]
+    lines += ["window.tv = 0, 1"]
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    opened = []
+    load = data.load_sequence
+
+    def recorded(imu_path, gt_path, name=None):
+        opened.append(os.path.basename(os.path.dirname(imu_path)))
+        return load(imu_path, gt_path, name)
+
+    def loaded(*args, **kwargs):
+        raise _Loaded
+
+    monkeypatch.setattr(data, "load_sequence", recorded)
+    monkeypatch.setattr(trainer, "fit", loaded)
+    monkeypatch.setattr(evaluator, "run_baselines", loaded)
+    with pytest.raises(_Loaded):
+        run(command, "--config", path, "--out", str(tmp_path / "run"))
+    assert sorted(opened) == sorted(read)
+
+
 @pytest.mark.parametrize("command, role, window, part", [
     ("evaluate", "test", "window.s1 = 100, 200\n", "test"),
     ("train", "train+val", "", "val"),  # a 30 s recording, 50 s to train
@@ -803,19 +888,64 @@ def test_evaluate_scores_proposed_on_the_lane(tmp_path, monkeypatch):
     scene = synth_scene(tmp_path, duration=12.0)
     ckpt = str(tmp_path / "ckpt.json")
     network.save_checkpoint(ckpt, network.ModelParams())
+    # every method but proposed as estimate_attitudes sees it; proposed by
+    # the thread of its first CNN block, which the lane starts on
     names = {}
     estimate = evaluator.estimate_attitudes
+    forward = network.forward
 
     def recorded(method, *args):
-        names[method] = threading.current_thread().name
+        if method != "proposed":
+            names[method] = threading.current_thread().name
         return estimate(method, *args)
 
+    def recorded_forward(params, x, training=False, rng=None,
+                         zero_input=False):
+        if not zero_input:
+            names.setdefault("proposed", threading.current_thread().name)
+        return forward(params, x, training, rng, zero_input)
+
     monkeypatch.setattr(evaluator, "estimate_attitudes", recorded)
+    monkeypatch.setattr(network, "forward", recorded_forward)
     assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
                "--gt", os.path.join(scene, "gt.csv"), "--checkpoint", ckpt,
                "--distances", "7", "--out", str(tmp_path / "rep")) == 0
     assert names.pop("proposed").startswith("autodiff-lane")
     assert set(names.values()) == {threading.current_thread().name}
+
+
+def test_evaluate_hands_no_kernel_off_the_main_thread(tmp_path,
+                                                      lane_handoffs):
+    # the lane works the CNN blocks while this thread scores the other
+    # methods: a kernel of this thread that reached LANE_MIN_SIZE would
+    # wait for the lane's whole job
+    scene = synth_scene(tmp_path, duration=12.0)
+    ckpt = str(tmp_path / "ckpt.json")
+    network.save_checkpoint(ckpt, network.ModelParams())
+    assert run("evaluate", "--imu", os.path.join(scene, "imu.csv"),
+               "--gt", os.path.join(scene, "gt.csv"), "--checkpoint", ckpt,
+               "--distances", "7", "--out", str(tmp_path / "rep")) == 0
+    assert lane_handoffs == []
+
+
+def test_integrate_writes_the_bytes_of_one_thread(tmp_path, monkeypatch):
+    # under main the integrate command shares its CNN blocks with the
+    # lane; without a lane every block runs on this thread
+    scene = synth_scene(tmp_path, duration=12.0, gyro_bias="0.02,0,0")
+    params = network.ModelParams(seed=3)
+    params.conv_w[-1].data = np.full(params.conv_w[-1].shape, 1e-4)
+    ckpt = str(tmp_path / "ckpt.json")
+    network.save_checkpoint(ckpt, params)
+    argv = ["integrate", "--checkpoint", ckpt,
+            "--imu", os.path.join(scene, "imu.csv"),
+            "--gt", os.path.join(scene, "gt.csv")]
+    assert run(*argv, "--out", str(tmp_path / "lane.csv")) == 0
+    monkeypatch.setattr(autodiff, "compute_lane", contextlib.nullcontext)
+    assert run(*argv, "--out", str(tmp_path / "inline.csv")) == 0
+    with open(tmp_path / "lane.csv", "rb") as f:
+        lane = f.read()
+    with open(tmp_path / "inline.csv", "rb") as f:
+        assert f.read() == lane
 
 
 def test_integrate_matches_estimate_attitudes(tmp_path):

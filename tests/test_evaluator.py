@@ -421,17 +421,31 @@ def test_run_baselines_matches_a_serial_run_bit_for_bit(methods):
 
 
 def record_threads(monkeypatch):
-    """{method: (thread name, active thread count)} as estimate_attitudes
-    sees them, filled in while run_baselines runs."""
+    """{method: (thread name, active thread count)}, filled in while
+    run_baselines runs: as estimate_attitudes sees them for every method
+    but `proposed`, and for `proposed` as network.forward sees them for
+    the first CNN block, which the lane, started before the ROE windows,
+    computes."""
     seen = {}
     estimate = evaluator.estimate_attitudes
+    forward = network.forward
+
+    def here():
+        return threading.current_thread().name, threading.active_count()
 
     def recorded(method, *args):
-        seen[method] = (threading.current_thread().name,
-                        threading.active_count())
+        if method != "proposed":
+            seen[method] = here()
         return estimate(method, *args)
 
+    def recorded_forward(params, x, training=False, rng=None,
+                         zero_input=False):
+        if not zero_input:
+            seen.setdefault("proposed", here())
+        return forward(params, x, training, rng, zero_input)
+
     monkeypatch.setattr(evaluator, "estimate_attitudes", recorded)
+    monkeypatch.setattr(network, "forward", recorded_forward)
     return seen
 
 
@@ -468,8 +482,67 @@ def test_run_baselines_opens_and_joins_a_lane_of_its_own(monkeypatch):
 ])
 def test_run_baselines_raises_the_first_failing_method_in_order(methods,
                                                                  first):
-    # without a checkpoint both learned methods fail, one of them on the
-    # worker thread; the error is that of the first in the given order
+    # without a checkpoint both learned methods fail; the error is that of
+    # the first in the given order
     _, seq, gt = make_scene(duration=40.0, seed=11)
     with pytest.raises(ValueError, match=f"method '{first}' needs"):
         evaluator.run_baselines([("s", seq, gt)], None, methods=methods)
+
+
+@pytest.mark.parametrize("methods, first", [
+    (("proposed", "calibrated"), "a block on the lane"),
+    (("calibrated", "proposed"), "calibrated's forward"),
+])
+def test_a_block_error_on_the_lane_surfaces_in_method_order(monkeypatch,
+                                                            methods, first):
+    # the lane fails the first block it computes; this thread's blocks wait
+    # for that, so the queue's error is always the lane's
+    calib = imu.CalibParams(bias=np.array([0.02, -0.015, 0.01, 0, 0, 0]))
+    _, seq, gt = make_scene(duration=12.0, seed=12, calib=calib)
+    failed = threading.Event()
+    forward = network.forward
+
+    def failing(params, x, training=False, rng=None, zero_input=False):
+        if zero_input:
+            raise ValueError("calibrated's forward failed")
+        if threading.current_thread().name.startswith("autodiff-lane"):
+            failed.set()
+            raise ValueError("a block on the lane failed")
+        assert failed.wait(30), "the lane took no block"
+        return forward(params, x, training, rng, zero_input)
+
+    monkeypatch.setattr(network, "forward", failing)
+    with pytest.raises(ValueError, match=f"^{first} failed$"):
+        evaluator.run_baselines([("s", seq, gt)], calibration_params(calib),
+                                distances=(7.0,), methods=methods)
+
+
+def test_a_sequence_that_fails_its_roe_windows_stops_the_lane(monkeypatch):
+    # the lane holds its first block until the queue is stopped; the ROE
+    # windows fail once the lane has claimed it, and no block follows
+    _, seq, gt = make_scene(duration=12.0, seed=12)
+    claimed, stopped = threading.Event(), threading.Event()
+    blocks = []
+    forward, stop = network.forward, network.RateBlocks.stop
+
+    def held(params, x, training=False, rng=None, zero_input=False):
+        blocks.append(threading.current_thread().name)
+        claimed.set()
+        assert stopped.wait(30), "the queue was not stopped"
+        return forward(params, x, training, rng, zero_input)
+
+    def failing(gt, distances):
+        assert claimed.wait(30), "the lane took no block"
+        raise ValueError("trajectory too short")
+
+    def stopping(self):
+        stop(self)
+        stopped.set()
+
+    monkeypatch.setattr(network, "forward", held)
+    monkeypatch.setattr(network.RateBlocks, "stop", stopping)
+    monkeypatch.setattr(evaluator, "roe_windows", failing)
+    with pytest.raises(ValueError, match="trajectory too short"):
+        evaluator.run_baselines([("s", seq, gt)], network.ModelParams(),
+                                methods=("proposed",))
+    assert len(blocks) == 1 and blocks[0].startswith("autodiff-lane")

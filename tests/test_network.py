@@ -1,6 +1,8 @@
 import base64
 import contextlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -395,3 +397,146 @@ def test_integrate_corrected_blocks_match_one_padded_forward(one_thread):
             ref = so3.integrate_increments(r0, w_hat, seq.dt)
             est = network.integrate_corrected(params, seq, r0)
             np.testing.assert_array_equal(est, ref, err_msg=f"{n} samples")
+
+
+# -- the shared block queue ------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 5000])
+def test_rate_blocks_shared_with_a_lane_are_the_bits_of_one_thread(n):
+    full, r0 = _scene_sequence(25.0, seed=12)
+    seq = full.window(0, n)
+    params = _trained_like_params()
+    with ad.one_blas_thread():
+        alone = network.RateBlocks(params, seq).join()
+        est_alone = network.integrate_corrected(params, seq, r0)
+        with ad.compute_lane() as lane:
+            shared = network.RateBlocks(params, seq).start(lane).join()
+            est_shared = network.integrate_corrected(params, seq, r0)
+    assert shared.tobytes() == alone.tobytes()
+    assert est_shared.tobytes() == est_alone.tobytes()
+
+
+def test_both_threads_take_blocks_from_the_queue(monkeypatch):
+    # whichever thread claims a block first holds it until the other has
+    # claimed one: with three blocks, both threads compute at least one
+    seq, r0 = _scene_sequence(12.0, seed=13)
+    params = _trained_like_params()
+    want = network.integrate_corrected(params, seq, r0)
+    took = {}
+    claimed = {"lane": threading.Event(), "main": threading.Event()}
+    forward = network.forward
+
+    def held(params, x, training=False, rng=None, zero_input=False):
+        me = threading.current_thread().name
+        took[me] = took.get(me, 0) + 1
+        mine, other = (("lane", "main") if me.startswith("autodiff-lane")
+                       else ("main", "lane"))
+        claimed[mine].set()
+        assert claimed[other].wait(30), f"the {other} thread took no block"
+        return forward(params, x, training, rng, zero_input)
+
+    monkeypatch.setattr(network, "forward", held)
+    with ad.one_blas_thread(), ad.compute_lane():
+        got = network.integrate_corrected(params, seq, r0)
+    main = threading.current_thread().name
+    lane = [name for name in took if name != main]
+    assert len(lane) == 1 and lane[0].startswith("autodiff-lane")
+    assert took[main] >= 1 and took[lane[0]] >= 1
+    assert took[main] + took[lane[0]] == -(-len(seq) // network.EVAL_BLOCK)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rate_blocks_under_thread_switching_compute_each_block_once(
+        monkeypatch):
+    # four threads on two cores claim 313 blocks of 16 outputs while the
+    # interpreter switches threads every microsecond: a lost update of the
+    # claim would compute a block twice or leave one unwritten
+    monkeypatch.setattr(network, "EVAL_BLOCK", 16)
+    seq, _ = _scene_sequence(25.0, seed=14)
+    seq = seq.window(0, 5000)
+    params = _trained_like_params()
+    want = network.RateBlocks(params, seq).join()
+    starts = []
+    forward = network.forward
+
+    def counted(params, x, training=False, rng=None, zero_input=False):
+        starts.append(x.ctypes.data)
+        return forward(params, x, training, rng, zero_input)
+
+    monkeypatch.setattr(network, "forward", counted)
+    blocks = network.RateBlocks(params, seq)
+    blocks._rates.fill(np.nan)
+    workers = [threading.Thread(target=blocks.work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(starts) == len(set(starts)) == 313
+    assert blocks.join().tobytes() == want.tobytes()
+
+
+def test_integrate_corrected_without_a_lane_starts_no_thread(monkeypatch):
+    seq, r0 = _scene_sequence(12.0, seed=13)
+    params = _trained_like_params()
+    threads = {}
+    forward = network.forward
+
+    def recorded(*args, **kwargs):
+        threads[threading.current_thread().name] = threading.active_count()
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(network, "forward", recorded)
+    count = threading.active_count()
+    network.integrate_corrected(params, seq, r0)
+    assert threads == {threading.current_thread().name: count}
+
+
+def test_a_block_error_stops_the_queue_and_surfaces_in_join(monkeypatch):
+    seq, _ = _scene_sequence(12.0, seed=13)
+    params = _trained_like_params()
+    calls = []
+
+    def failing(params, x, training=False, rng=None, zero_input=False):
+        calls.append(x.shape)
+        raise ValueError("block failed")
+
+    monkeypatch.setattr(network, "forward", failing)
+    with ad.compute_lane() as lane:
+        blocks = network.RateBlocks(params, seq).start(lane)
+        with pytest.raises(ValueError, match="block failed"):
+            blocks.join()
+    # one failed block per thread at most: no block is claimed after it
+    assert 1 <= len(calls) <= 2
+
+
+def test_eval_block_kernels_stay_under_the_lane_threshold(monkeypatch,
+                                                          lane_handoffs):
+    # a lane job must hand no work off, and this thread's kernels must not
+    # wait on the lane while it works the queue: the widest kernel of a
+    # batch-of-one block of EVAL_BLOCK outputs, layer 3's (1, 128, 1024)
+    # output, is 131,072 elements against LANE_MIN_SIZE = 150,000
+    params = _trained_like_params()
+    cfg = params.config
+    widest = max(c * network.EVAL_BLOCK for c in cfg.channels[1:])
+    assert widest == 131_072 < ad.LANE_MIN_SIZE
+    sizes = []
+    halves = ad._halves
+
+    def recorded(body, like):
+        sizes.append(like.size)
+        return halves(body, like)
+
+    monkeypatch.setattr(ad, "_halves", recorded)
+    seq, _ = _scene_sequence(12.0, seed=13)
+    x = _mean_padded(params, seq)[:, :, :network.EVAL_BLOCK
+                                        + cfg.receptive_field]
+    with ad.no_grad(), ad.compute_lane():
+        network.forward(params, x)
+    assert max(sizes) == widest
+    assert lane_handoffs == []
