@@ -18,21 +18,21 @@ as on the inputs; `one_blas_thread()` pins that count to one, and the
 command line runs inside it.
 
 The command line also opens a compute lane (`compute_lane()`): a
-one-thread executor whose worker takes half of the heavy kernels' numpy
-work while the thread that opened it does the other half, so a training
-step uses two cores. It is the command's one worker thread: it also
-takes blocks of the eval forward (`network.RateBlocks`) from the queue the
-calling thread works. The convolution splits its forward by batch
-halves and runs its backward's gw and gx GEMMs side by side; GELU,
-dropout's multiply and every elementwise pass of batchnorm split by batch
-halves. A reduction is never split: each is the one call on the whole
-array that an inline run makes, and only batchnorm's backward runs two
-independent ones at the same time. Each kernel has one body; without the
-lane (library calls, other threads, kernels under LANE_MIN_SIZE elements)
-both halves run on the calling thread, so the bits are the same either
-way. Every autodiff decision stays on the calling thread, since grad mode
-is per thread; a job submitted to the lane that builds tensors sets its
-own grad mode.
+one-thread executor, the command's one worker thread. Work is shared with
+it one way, through a `Jobs` queue of independent callables that the
+thread that opened the lane and the lane both take from, so a training
+step uses two cores: a heavy kernel's queue holds its two halves, and the
+eval forward's (`network.rate_blocks`) its blocks. The convolution splits
+its forward by batch halves and runs its backward's gw and gx GEMMs side
+by side; GELU, dropout's multiply and every elementwise pass of batchnorm
+split by batch halves. A reduction is never split: each is the one call
+on the whole array that an inline run makes, and only batchnorm's
+backward runs two independent ones at the same time. Each kernel has one
+body; without the lane (library calls, other threads, kernels under
+LANE_MIN_SIZE elements) both halves run on the calling thread, so the
+bits are the same either way. Every autodiff decision stays on the
+calling thread, since grad mode is per thread; a job that builds tensors
+sets its own grad mode.
 
 The arithmetic kernels write their results into fresh buffers, so a result
 never aliases an input (`take`, `reshape` and `transpose` return numpy
@@ -52,6 +52,7 @@ reaches no parameter.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -250,22 +251,18 @@ _open = _OpenLane()
 
 @contextlib.contextmanager
 def compute_lane():
-    """Inside the block, this thread's kernels hand half of their large
-    numpy passes to one worker thread, and the bits of every result stay
-    those of this thread doing all of it. Open it only with one BLAS thread
+    """Inside the block, this thread's kernels share their large numpy
+    passes with one worker thread, and the bits of every result stay those
+    of this thread doing all of it. Open it only with one BLAS thread
     (`one_blas_thread()`), so that the GEMMs of the two threads share no
     core. Yields the lane, a one-thread executor whose thread starts at the
     first submit; a block nested in an open one yields that lane, and the
     outermost block joins the thread on exit.
 
-    Other work may be submitted to the lane too on two conditions: a job
-    on the lane never hands work off, since the open lane is per thread and
-    the lane's own thread has none; and while such a job runs, no kernel of
-    this thread reaches LANE_MIN_SIZE, or it would wait for the job to
-    finish. `network.RateBlocks` is such work: the lane and this thread
-    take the eval forward's blocks from one queue, and no kernel of a
-    batch-of-one block of network.EVAL_BLOCK outputs reaches
-    LANE_MIN_SIZE."""
+    This thread shares work with the lane through `Jobs` queues. A job the
+    lane takes never hands work off, since the open lane is per thread and
+    the lane's own thread has none. A queue whose turn waits behind a busy
+    lane does not wait for it: this thread takes every job itself."""
     if _open.lane is not None:
         yield _open.lane
         return
@@ -278,34 +275,69 @@ def compute_lane():
             _open.lane = None
 
 
-def open_lane():
-    """The compute lane this thread has open, or None: unlike
-    `compute_lane()` it never opens one."""
-    return _open.lane
+class Jobs:
+    """Independent callables in one queue that any thread may take from the
+    front (deque.popleft is atomic, so no lock is needed): the thread that
+    joins the queue and the lane it has open share them, whichever is free
+    taking the next. A job that builds tensors sets its own grad mode,
+    which is per thread."""
 
+    def __init__(self, jobs):
+        self._queue = collections.deque(enumerate(jobs))
+        self._results = [None] * len(self._queue)
+        self._errors = {}
+        self._turn = None
 
-def _hand_off(lane, there, here):
-    """(there(), here()), with there() on the lane. Returns, or raises what
-    either raised (here's first), once both have finished."""
-    fut = lane.submit(there)
-    try:
-        mine = here()
-    finally:
-        fut.exception()  # waits for there() without raising its error
-    return fut.result(), mine
+    def start(self):
+        """Submit a turn at the queue to this thread's open lane, if any;
+        returns self."""
+        if _open.lane is not None:
+            self._turn = _open.lane.submit(self.work)
+        return self
+
+    def work(self):
+        """Take jobs from the front until none is left or one raises: a
+        thread takes no more jobs after one of its own has failed, and the
+        error is kept for join() to raise."""
+        take = self._queue.popleft
+        while True:
+            try:
+                i, job = take()
+            except IndexError:
+                return
+            try:
+                self._results[i] = job()
+            except BaseException as err:
+                self._errors[i] = err
+                return
+
+    def stop(self):
+        """Drop the jobs no thread has taken, for a caller that will not
+        read the results; a job being run still finishes."""
+        self._queue.clear()
+
+    def join(self):
+        """Take jobs on this thread until none is left, then cancel the
+        lane's turn if it has not started, else wait for it. Returns the
+        results in job order, or raises the error of the first job, in job
+        order, that failed."""
+        self.work()
+        if self._turn is not None and not self._turn.cancel():
+            self._turn.result()
+        if self._errors:
+            raise self._errors[min(self._errors)]
+        return self._results
 
 
 def _both(there, here, size):
-    """(there(), here()): there() on this thread's lane while here() runs
-    on this thread when a lane is open and size reaches LANE_MIN_SIZE, else
-    there() then here() on this thread. Grad mode is per thread, so every
-    autodiff decision stays on this thread, and a job that builds tensors
-    sets its own grad mode (as `network.RateBlocks.work` does with
-    `no_grad`)."""
-    lane = _open.lane
-    if lane is None or size < LANE_MIN_SIZE:
+    """(there(), here()), both jobs of one `Jobs` queue when a lane is open
+    and size reaches LANE_MIN_SIZE: this thread takes here() first, and
+    there() goes to whichever thread is free next. Else there() then here()
+    on this thread. Raises here's error before there's."""
+    if _open.lane is None or size < LANE_MIN_SIZE:
         return there(), here()
-    return _hand_off(lane, there, here)
+    mine, theirs = Jobs([here, there]).start().join()
+    return theirs, mine
 
 
 def _halves(body, like):

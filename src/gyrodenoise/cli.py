@@ -294,14 +294,23 @@ def _run_fit(args, zero_input, defaults):
     # would only add gradient noise
     net_cfg = network.NetConfig(
         dropout=0.0 if zero_input else cfg.get("net.dropout", 0.1))
-    dataset = _load_dataset(args, cfg, ("train", "val"))
 
     start_epoch = 0
     if args.resume:
         params, extra = network.load_checkpoint(args.resume)
         start_epoch = int(extra.get("epoch", 0))
+        if bool(extra.get("zero_input", False)) != zero_input:
+            fit_by = "calibrate" if extra.get("zero_input") else "train"
+            raise data.ValidationError(
+                f"--resume {args.resume}: fit by {fit_by}, which "
+                f"{args.command} cannot continue")
+        if start_epoch >= tcfg.epochs:
+            raise data.ValidationError(
+                f"--resume {args.resume}: already at epoch {start_epoch}, "
+                f"so --epochs {tcfg.epochs} leaves nothing to train")
     else:
         params = network.ModelParams(net_cfg, seed=tcfg.seed)
+    dataset = _load_dataset(args, cfg, ("train", "val"))
 
     log_path = os.path.join(outdir, "metrics.csv")
     train_pairs = [(s, g) for _, s, g in dataset["train"]]

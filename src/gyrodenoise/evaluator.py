@@ -202,7 +202,7 @@ class MetricsReport:
 
 def estimate_attitudes(method, seq, gt, params=None, blocks=None):
     """Attitude track of one baseline method on the ground-truth clock.
-    `proposed` joins blocks, a network.RateBlocks of seq already started,
+    `proposed` joins blocks, a started network.rate_blocks queue of seq,
     when one is given (see network.integrate_corrected)."""
     n = len(gt.rot)
     r0 = gt.rot[0]
@@ -236,23 +236,23 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
     Ground truth must be aligned to the IMU clock. Returns MetricsReport
     objects ordered by (sequence name, method order as given).
 
-    Per sequence, the `proposed` CNN forward is a network.RateBlocks queue
-    that the autodiff compute lane starts working before the ROE windows
-    are built; this thread estimates and scores the other methods, then
-    works the queue too, and integrates and scores `proposed` once the
-    lane's job has returned. Inside an open `compute_lane()`, as under the
-    command line, that is the lane already open; otherwise one is opened
-    and joined here. The lane's matrix products and large ufunc loops
-    release the GIL, so the two threads overlap on two cores. A block's
-    rates are the same bits whichever thread computes it, and every track
-    and score is computed as one after another would compute it, so the
-    reports are bit-identical to a serial run's; when methods fail the
-    error raised is the first one in method order.
+    Per sequence, the `proposed` CNN forward is a network.rate_blocks
+    queue that the autodiff compute lane starts taking blocks from before
+    the ROE windows are built; this thread estimates and scores the other
+    methods, then takes blocks too, and integrates and scores `proposed`
+    once no block is left or running. Inside an open `compute_lane()`, as
+    under the command line, that is the lane already open; otherwise one
+    is opened and joined here. The lane's matrix products and large ufunc
+    loops release the GIL, so the two threads overlap on two cores. A
+    block's rates are the same bits whichever thread computes it, and
+    every track and score is computed as one after another would compute
+    it, so the reports are bit-identical to a serial run's; when methods
+    fail the error raised is the first one in method order.
     """
     reports = []
-    with autodiff.compute_lane() as worker:
+    with autodiff.compute_lane():
         for name, seq, gt in sorted(sequences, key=lambda x: x[0]):
-            blocks = (network.RateBlocks(params, seq).start(worker)
+            blocks = (network.rate_blocks(params, seq).start()
                       if "proposed" in methods and params is not None
                       else None)
             try:
@@ -271,7 +271,7 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
                                      roe_errors(windows, est))
 
             scored = [None] * len(methods)
-            # the other methods first, while the lane works the queue
+            # the other methods first, while the lane takes blocks
             for i in sorted(range(len(methods)),
                             key=lambda i: methods[i] == "proposed"):
                 scored[i] = _outcome(score, methods[i])

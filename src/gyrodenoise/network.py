@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import base64
 import json
-import threading
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -199,8 +198,7 @@ def forward(params: ModelParams, x, training=False, rng=None,
 # the eval forward runs the CNN over this many outputs at a time, so the
 # activations a thread holds are one block's, whatever the sequence length;
 # at 1024 the widest layer's (1, 128, 1024) buffers (1 MiB each) fit in a
-# core's L2 cache, and its 131,072 elements stay under
-# autodiff.LANE_MIN_SIZE, so a block never hands work to the lane
+# core's L2 cache
 EVAL_BLOCK = 1024
 
 
@@ -216,66 +214,22 @@ def _mean_padded(params, imu_seq):
     return x
 
 
-class RateBlocks:
-    """The eval-mode corrected rates of a recording as a queue of blocks of
-    EVAL_BLOCK outputs, each a valid forward over its receptive_field
+def rate_blocks(params: ModelParams, imu_seq):
+    """The eval-mode corrected rates of a recording as an autodiff.Jobs
+    queue, one job per block of EVAL_BLOCK outputs: each returns its
+    block's (L, 3) rates from a valid forward over its receptive_field
     samples of history, so a block's rates are the same bits whichever
-    thread computes it. Any thread may call work(); start(lane) has the
-    lane work the queue too, and join() works it on the calling thread,
-    then waits for the lane's job before it reads the rates."""
+    thread computes it."""
+    x = _mean_padded(params, imu_seq)
+    width = EVAL_BLOCK + params.config.receptive_field
 
-    def __init__(self, params: ModelParams, imu_seq):
-        self._params = params
-        self._x = _mean_padded(params, imu_seq)
-        self._rates = np.empty((len(imu_seq), 3))
-        self._next = 0
-        self._error = None
-        self._job = None
-        self._lock = threading.Lock()
+    def block(s):
+        def rates():
+            with ad.no_grad():  # grad mode is per thread
+                return forward(params, x[:, :, s:s + width]).data[0].T
+        return rates
 
-    def start(self, lane):
-        """Submit work() to lane, a compute lane or None; returns self."""
-        if lane is not None:
-            self._job = lane.submit(self.work)
-        return self
-
-    def work(self):
-        """Claim the next block under the lock and write its rates, until
-        no block is left or one has failed; a block's error is kept for
-        join() to raise, not raised here."""
-        n, rf = len(self._rates), self._params.config.receptive_field
-        with ad.no_grad():  # grad mode is per thread
-            while True:
-                with self._lock:
-                    s = self._next
-                    if s >= n or self._error is not None:
-                        return
-                    self._next = s + EVAL_BLOCK
-                e = min(s + EVAL_BLOCK, n)
-                try:
-                    self._rates[s:e] = forward(
-                        self._params, self._x[:, :, s:e + rf]).data[0].T
-                except Exception as err:
-                    with self._lock:
-                        if self._error is None:
-                            self._error = err
-                    return
-
-    def stop(self):
-        """Let no thread claim another block, for a caller that will not
-        read the rates; a block being computed still finishes."""
-        with self._lock:
-            self._next = len(self._rates)
-
-    def join(self):
-        """work(), then the lane's job; the (M, 3) rates, or the first
-        error a block raised."""
-        self.work()
-        if self._job is not None:
-            self._job.result()
-        if self._error is not None:
-            raise self._error
-        return self._rates
+    return ad.Jobs([block(s) for s in range(0, len(imu_seq), EVAL_BLOCK)])
 
 
 def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False,
@@ -285,13 +239,13 @@ def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False,
     imu_seq is a data.ImuSequence, integrated over its measured sample
     period; returns an (M+1, 3, 3) rotation stack starting at r0.
 
-    The rates are a RateBlocks queue's. The calling thread works it
-    together with the compute lane it has open (autodiff.open_lane(), as
-    under the command line), so both cores compute blocks; with no lane
-    open every block runs on this thread and no thread starts. blocks, a
-    RateBlocks(params, imu_seq) whose queue a lane job may already be
-    working, is joined instead of a new queue. zero_input's constant
-    correction needs one column of the forward.
+    The rates are those of rate_blocks(params, imu_seq). The calling thread
+    takes its blocks together with the compute lane it has open (as under
+    the command line), so both cores compute blocks; with no lane open
+    every block runs on this thread and no thread starts. blocks, such a
+    queue that the lane may already be taking from, is joined instead of a
+    new one. zero_input's constant correction needs one column of the
+    forward.
     """
     if zero_input:
         with ad.no_grad():
@@ -299,8 +253,8 @@ def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False,
                             zero_input=True).data[0].T
     else:
         if blocks is None:
-            blocks = RateBlocks(params, imu_seq).start(ad.open_lane())
-        w_hat = blocks.join()
+            blocks = rate_blocks(params, imu_seq).start()
+        w_hat = np.concatenate(blocks.join())
     return so3.integrate_increments(r0, w_hat, imu_seq.dt)
 
 

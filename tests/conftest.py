@@ -32,16 +32,19 @@ def no_thread_left_behind():
 
 @pytest.fixture
 def lane_handoffs(monkeypatch):
-    """The list of hand-offs to an autodiff compute lane made while the test
-    runs: the id of the thread that handed each one off."""
+    """The list of hand-offs made while the test runs, `_both` calls that
+    share their two halves with an open autodiff compute lane: the id of
+    the thread that made each one."""
     from gyrodenoise import autodiff
 
     handoffs = []
-    hand_off = autodiff._hand_off
+    both = autodiff._both
 
-    def counted(lane, there, here):
-        handoffs.append(threading.get_ident())
-        return hand_off(lane, there, here)
+    def counted(there, here, size):
+        if (autodiff._open.lane is not None
+                and size >= autodiff.LANE_MIN_SIZE):
+            handoffs.append(threading.get_ident())
+        return both(there, here, size)
 
-    monkeypatch.setattr(autodiff, "_hand_off", counted)
+    monkeypatch.setattr(autodiff, "_both", counted)
     return handoffs

@@ -1061,3 +1061,104 @@ def test_lane_thread_is_joined_on_error(lane_handoffs):
             raise KeyError("in the block")
     assert lane_handoffs and ad._open.lane is None
     assert threading.active_count() == threads
+
+
+# -- the job queue that both threads take from -----------------------------------
+
+def test_a_hand_off_behind_a_busy_lane_runs_both_halves_here(lane_handoffs):
+    # a lane job holds the lane (for 10 s at most): a kernel's halves do not
+    # wait for it, since this thread takes the half the lane has not
+    started, release = threading.Event(), threading.Event()
+
+    def busy():
+        started.set()
+        return release.wait(10)
+
+    me = threading.get_ident()
+    with ad.compute_lane() as lane:
+        job = lane.submit(busy)
+        try:
+            assert started.wait(10)
+            t0 = time.perf_counter()
+            got = ad._both(threading.get_ident, threading.get_ident,
+                           ad.LANE_MIN_SIZE)
+            waited = time.perf_counter() - t0
+            assert not job.done()
+        finally:
+            release.set()
+    assert got == (me, me) and waited < 5
+    assert job.result() is True
+    assert lane_handoffs == [me]
+
+
+def test_jobs_take_each_job_once_under_thread_switching():
+    # four threads and a lane take 3,000 jobs while the interpreter switches
+    # threads every microsecond: each job runs once, and the results come
+    # back in job order
+    ran = []
+
+    def job(i):
+        def run():
+            ran.append(i)
+            return i
+        return run
+
+    n = 3000
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ad.compute_lane():
+            jobs = ad.Jobs([job(i) for i in range(n)]).start()
+            workers = [threading.Thread(target=jobs.work) for _ in range(4)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+            got = jobs.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert len(ran) == n and sorted(ran) == list(range(n))
+    assert got == list(range(n))
+    assert threading.active_count() == threads
+
+
+def test_jobs_join_raises_only_once_no_job_is_running():
+    # the lane takes the slow job first; this thread's job fails at once,
+    # and join() raises only after the lane's job has finished
+    started, finished = threading.Event(), []
+
+    def slow():
+        started.set()
+        time.sleep(0.05)
+        finished.append(True)
+
+    def fails():
+        raise FloatingPointError("this thread's job")
+
+    with ad.compute_lane():
+        jobs = ad.Jobs([slow, fails]).start()
+        assert started.wait(10)
+        with pytest.raises(FloatingPointError, match="this thread's job"):
+            jobs.join()
+        assert finished == [True]
+
+
+def test_a_thread_stops_taking_jobs_after_its_own_job_fails():
+    ran = []
+
+    def fails():
+        raise FloatingPointError("job 1")
+
+    jobs = ad.Jobs([lambda: ran.append(0), fails, lambda: ran.append(2),
+                    lambda: ran.append(3)])
+    jobs.work()  # job 0, then the failing job 1
+    assert ran == [0]
+    other = threading.Thread(target=jobs.work)
+    other.start()
+    other.join(10)
+    assert not other.is_alive()
+    assert ran == [0, 2, 3]  # another thread still takes the rest
+    with pytest.raises(FloatingPointError, match="job 1"):
+        jobs.join()

@@ -336,6 +336,38 @@ def test_train_resume_continues_log_without_gaps(tmp_path):
     assert epochs == [1, 2, 3, 4]
 
 
+def test_resume_at_or_past_the_last_epoch_is_refused(tmp_path, capsys):
+    # it would train nothing and write an earlier epoch over the checkpoint
+    scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,0,0")
+    outdir = str(tmp_path / "run")
+    assert run("train", *train_args(scene, outdir), "--epochs", "2") == 0
+    last = os.path.join(outdir, "checkpoint_last.json")
+    before = read(last), read(outdir, "metrics.csv")
+    capsys.readouterr()
+    for epochs in ("1", "2"):
+        assert run("train", *train_args(scene, outdir), "--epochs", epochs,
+                   "--resume", last) == cli.EXIT_DATA
+        assert "already at epoch 2" in capsys.readouterr().err
+    assert (read(last), read(outdir, "metrics.csv")) == before
+
+
+@pytest.mark.parametrize("fit, resume", [("train", "calibrate"),
+                                         ("calibrate", "train")])
+def test_resume_refuses_a_checkpoint_fit_in_the_other_mode(tmp_path, capsys,
+                                                          fit, resume):
+    # calibrate fits the network on zeros without dropout, train on the data
+    # with it: neither continues the other's parameters
+    scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,0,0")
+    first = str(tmp_path / "first")
+    assert run(fit, *train_args(scene, first), "--epochs", "1") == 0
+    capsys.readouterr()
+    second = str(tmp_path / "second")
+    assert run(resume, *train_args(scene, second), "--epochs", "3", "--resume",
+               os.path.join(first, "checkpoint_last.json")) == cli.EXIT_DATA
+    assert f"fit by {fit}, which {resume} cannot" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(second, "metrics.csv"))
+
+
 def test_calibrate_writes_recovered_calibration(tmp_path):
     scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,-0.01,0.015")
     outdir = str(tmp_path / "cal")

@@ -523,7 +523,7 @@ def test_a_sequence_that_fails_its_roe_windows_stops_the_lane(monkeypatch):
     _, seq, gt = make_scene(duration=12.0, seed=12)
     claimed, stopped = threading.Event(), threading.Event()
     blocks = []
-    forward, stop = network.forward, network.RateBlocks.stop
+    forward, stop = network.forward, autodiff.Jobs.stop
 
     def held(params, x, training=False, rng=None, zero_input=False):
         blocks.append(threading.current_thread().name)
@@ -540,7 +540,7 @@ def test_a_sequence_that_fails_its_roe_windows_stops_the_lane(monkeypatch):
         stopped.set()
 
     monkeypatch.setattr(network, "forward", held)
-    monkeypatch.setattr(network.RateBlocks, "stop", stopping)
+    monkeypatch.setattr(autodiff.Jobs, "stop", stopping)
     monkeypatch.setattr(evaluator, "roe_windows", failing)
     with pytest.raises(ValueError, match="trajectory too short"):
         evaluator.run_baselines([("s", seq, gt)], network.ModelParams(),

@@ -407,10 +407,11 @@ def test_rate_blocks_shared_with_a_lane_are_the_bits_of_one_thread(n):
     seq = full.window(0, n)
     params = _trained_like_params()
     with ad.one_blas_thread():
-        alone = network.RateBlocks(params, seq).join()
+        alone = np.concatenate(network.rate_blocks(params, seq).join())
         est_alone = network.integrate_corrected(params, seq, r0)
-        with ad.compute_lane() as lane:
-            shared = network.RateBlocks(params, seq).start(lane).join()
+        with ad.compute_lane():
+            shared = np.concatenate(
+                network.rate_blocks(params, seq).start().join())
             est_shared = network.integrate_corrected(params, seq, r0)
     assert shared.tobytes() == alone.tobytes()
     assert est_shared.tobytes() == est_alone.tobytes()
@@ -448,14 +449,14 @@ def test_both_threads_take_blocks_from_the_queue(monkeypatch):
 
 def test_rate_blocks_under_thread_switching_compute_each_block_once(
         monkeypatch):
-    # four threads on two cores claim 313 blocks of 16 outputs while the
-    # interpreter switches threads every microsecond: a lost update of the
-    # claim would compute a block twice or leave one unwritten
+    # four threads on two cores take 313 blocks of 16 outputs while the
+    # interpreter switches threads every microsecond: a block taken twice or
+    # never would be computed twice or leave its rates missing
     monkeypatch.setattr(network, "EVAL_BLOCK", 16)
     seq, _ = _scene_sequence(25.0, seed=14)
     seq = seq.window(0, 5000)
     params = _trained_like_params()
-    want = network.RateBlocks(params, seq).join()
+    want = np.concatenate(network.rate_blocks(params, seq).join())
     starts = []
     forward = network.forward
 
@@ -464,8 +465,7 @@ def test_rate_blocks_under_thread_switching_compute_each_block_once(
         return forward(params, x, training, rng, zero_input)
 
     monkeypatch.setattr(network, "forward", counted)
-    blocks = network.RateBlocks(params, seq)
-    blocks._rates.fill(np.nan)
+    blocks = network.rate_blocks(params, seq)
     workers = [threading.Thread(target=blocks.work) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -478,7 +478,7 @@ def test_rate_blocks_under_thread_switching_compute_each_block_once(
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert len(starts) == len(set(starts)) == 313
-    assert blocks.join().tobytes() == want.tobytes()
+    assert np.concatenate(blocks.join()).tobytes() == want.tobytes()
 
 
 def test_integrate_corrected_without_a_lane_starts_no_thread(monkeypatch):
@@ -507,8 +507,8 @@ def test_a_block_error_stops_the_queue_and_surfaces_in_join(monkeypatch):
         raise ValueError("block failed")
 
     monkeypatch.setattr(network, "forward", failing)
-    with ad.compute_lane() as lane:
-        blocks = network.RateBlocks(params, seq).start(lane)
+    with ad.compute_lane():
+        blocks = network.rate_blocks(params, seq).start()
         with pytest.raises(ValueError, match="block failed"):
             blocks.join()
     # one failed block per thread at most: no block is claimed after it
@@ -517,8 +517,7 @@ def test_a_block_error_stops_the_queue_and_surfaces_in_join(monkeypatch):
 
 def test_eval_block_kernels_stay_under_the_lane_threshold(monkeypatch,
                                                           lane_handoffs):
-    # a lane job must hand no work off, and this thread's kernels must not
-    # wait on the lane while it works the queue: the widest kernel of a
+    # a block pays no hand-off on either thread: the widest kernel of a
     # batch-of-one block of EVAL_BLOCK outputs, layer 3's (1, 128, 1024)
     # output, is 131,072 elements against LANE_MIN_SIZE = 150,000
     params = _trained_like_params()
