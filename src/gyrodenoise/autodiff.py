@@ -9,8 +9,17 @@ Everything is float64. Tensors without requires_grad are treated as
 constants: backward computes no gradient for them, and their .grad stays
 None. Gradients accumulate in the leaves (tensors made with
 requires_grad=True) across backward calls; callers zero them between
-optimization steps. `backward()` consumes the graph it walks, so every
-activation is freed during the backward pass: no intermediate keeps a
+optimization steps.
+
+The graph is kept apart from the values it was built from. A Tensor owns
+its .data; its graph node owns a backward closure, its parents' nodes and,
+while backward runs, its gradient. Each closure captures exactly the
+arrays its backward reads, plus parent nodes, never a parent Tensor. So a
+value that no backward reads (a conv output under a batchnorm, a GELU
+output under dropout) lives only as long as the caller keeps its Tensor,
+and network.forward, which rebinds one name layer by layer, frees it as
+it moves on. `backward()` consumes the graph it walks, so what the
+closures kept is freed during the backward pass: no intermediate keeps a
 .grad, and a second backward through a consumed node raises ValueError.
 The convolution is one BLAS GEMM per kernel tap in each direction, so its
 bits, like everything downstream, depend on the BLAS thread count as well
@@ -69,51 +78,93 @@ def _consumed(g):
                      "consumed; build the result again")
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "__weakref__")
+class _Node:
+    """A tensor's place in the autodiff graph: its backward closure, its
+    parents' nodes, and its gradient while backward() runs. A leaf's node
+    has no closure and keeps the leaf's gradient. A node holds no values of
+    its own: the closure holds exactly the arrays its backward reads."""
+    __slots__ = ("grad", "backward_fn", "parents")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, backward_fn=None, parents=()):
         self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward_fn = _backward_fn
+        self.backward_fn = backward_fn
+        self.parents = parents
+
+    def accumulate(self, g):
+        if self.grad is None:
+            # the bits of zeros_like(g) + g, the sign of zero included
+            self.grad = np.add(g, 0.0, out=np.empty(np.shape(g)))
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """Values (.data) plus, for a leaf made with requires_grad=True or an op
+    recorded in grad mode, a graph node. The node outlives the Tensor only
+    as far as a later op's backward needs it, so an activation that no
+    backward reads is freed once its last Tensor is dropped."""
+    __slots__ = ("data", "_node", "__weakref__")
+
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self._node = _Node() if requires_grad else None
 
     @property
     def shape(self):
         return self.data.shape
 
+    @property
+    def requires_grad(self):
+        """Whether this is a leaf that accumulates a gradient."""
+        return self._node is not None and self._node.backward_fn is None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node.backward_fn = fn
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node.parents
+
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
-        self.grad = None
-
-    def _accumulate(self, g):
-        if not _needs_grad(self):
-            return
-        if self.grad is None:
-            # the bits of zeros_like(data) + g, the sign of zero included
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self.grad += g
+        if self._node is not None:
+            self._node.grad = None
 
     # -- graph ----------------------------------------------------------
 
     def backward(self):
         """Accumulate d self / d leaf into every leaf's .grad, consuming the
         graph: nodes run in reverse topological order, and each
-        intermediate node drops its .grad, backward closure and parents
-        once its backward has run, so its activations are freed then.
-        The leaves keep their gradients and self keeps its .data. A second
-        backward() on self, or on a result sharing a consumed node, raises
-        ValueError."""
+        intermediate node drops its gradient, backward closure and parents
+        once its backward has run, so the arrays that closure kept are
+        freed then. The leaves keep their gradients and self keeps its
+        .data. A second backward() on self, or on a result sharing a
+        consumed node, raises ValueError.
+
+        Only what a backward reads outlives the forward: a batchnorm's
+        normalized input, a GELU's input and tanh, a conv's input, a
+        dropout's one-byte keep mask. A value no backward reads, such as
+        the conv output under a batchnorm, is freed once its Tensor is
+        dropped, before backward() runs."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
+        root = self._node
+        if root is None:
+            return  # a constant: no leaf depends on it
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -123,19 +174,19 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
+        root.accumulate(np.ones_like(self.data))
         while topo:
             node = topo.pop()
-            if node._backward_fn is None:
-                continue  # a leaf or a constant
+            if node.backward_fn is None:
+                continue  # a leaf
             if node.grad is not None:
-                node._backward_fn(node.grad)
+                node.backward_fn(node.grad)
             node.grad = None
-            node._backward_fn = _consumed
-            node._parents = ()
+            node.backward_fn = _consumed
+            node.parents = ()
 
     # -- operators --------------------------------------------------------
 
@@ -357,10 +408,6 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_grad(*ts):
-    return any(t.requires_grad or t._backward_fn is not None for t in ts)
-
-
 def _unbroadcast(g, shape):
     """Sum gradient over axes that were broadcast in the forward pass."""
     if g.shape == shape:
@@ -375,10 +422,15 @@ def _unbroadcast(g, shape):
 
 
 def _result(data, parents, backward_fn):
-    live = tuple(p for p in parents if isinstance(p, Tensor))
-    if _grad_mode.enabled and _needs_grad(*live):
-        return Tensor(data, _parents=live, _backward_fn=backward_fn)
-    return Tensor(data)
+    """A Tensor of data, with a node for backward_fn when grad mode is on
+    and any of parents (the operands' nodes, None for a constant) is a
+    node. backward_fn receives the result's gradient and accumulates into
+    the parent nodes it captured, never into a Tensor."""
+    out = Tensor(data)
+    live = tuple(p for p in parents if p is not None)
+    if live and _grad_mode.enabled:
+        out._node = _Node(backward_fn, live)
+    return out
 
 
 # -- elementwise --------------------------------------------------------------
@@ -386,27 +438,32 @@ def _result(data, parents, backward_fn):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data + b.data
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
 
     def backward(g):
-        if _needs_grad(a):
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if _needs_grad(b):
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g, a_shape))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g, b_shape))
 
-    return _result(out_data, (a, b), backward)
+    return _result(out_data, (na, nb), backward)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    # each operand's gradient reads the other's values
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def backward(g):
-        if _needs_grad(a):
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if _needs_grad(b):
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            na.accumulate(_unbroadcast(g * b_data, a_shape))
+        if nb is not None:
+            nb.accumulate(_unbroadcast(g * a_data, b_shape))
 
-    return _result(out_data, (a, b), backward)
+    return _result(out_data, (na, nb), backward)
 
 
 def gelu(x):
@@ -419,7 +476,7 @@ def gelu(x):
     x = as_tensor(x)
     c = 0.7978845608
     a = 0.044715
-    xd = x.data
+    xd, nx = x.data, x._node
     t = np.empty_like(xd)
     out_data = np.empty_like(xd)
 
@@ -460,52 +517,62 @@ def gelu(x):
             d *= g[idx]
 
         _halves(grad, dx)
-        x._accumulate(dx)
+        nx.accumulate(dx)
 
-    return _result(out_data, (x,), backward)
+    return _result(out_data, (nx,), backward)
 
 
 def dropout(x, p, rng):
     """Zero elements with probability p, drawn from the numpy Generator rng,
-    and scale survivors by 1/(1-p). The mask is drawn whole; it is built
-    and applied one half of the leading axis at a time."""
+    and scale survivors by 1/(1-p). The uniforms are drawn whole; the mask
+    is built and applied one half of the leading axis at a time. The
+    backward keeps the keep mask, one bool per element, and rebuilds the
+    float mask from it."""
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must be in [0, 1)")
     x = as_tensor(x)
     if p == 0.0:
         return x
-    xd = x.data
+    xd, nx = x.data, x._node
     mask = rng.random(xd.shape)
+    keep = np.empty(xd.shape, dtype=bool)
     out_data = np.empty_like(mask)
+    # keep * scale is {1/(1-p), +0.0}: the bits of (u >= p) / (1 - p)
+    scale = 1.0 / (1.0 - p)
 
     def forward(idx):
         m = mask[idx]
-        # the bits of (u >= p) / (1 - p)
-        np.greater_equal(m, p, out=m)
-        m /= 1.0 - p
+        np.greater_equal(m, p, out=keep[idx])
+        np.multiply(keep[idx], scale, out=m)
         np.multiply(xd[idx], m, out=out_data[idx])
 
     _halves(forward, mask)
 
     def backward(g):
-        gx = np.empty_like(mask)
-        _halves(lambda idx: np.multiply(g[idx], mask[idx], out=gx[idx]), gx)
-        x._accumulate(gx)
+        gx = np.empty(keep.shape)
 
-    return _result(out_data, (x,), backward)
+        def grad(idx):
+            m = np.multiply(keep[idx], scale, out=gx[idx])
+            np.multiply(g[idx], m, out=m)
+
+        _halves(grad, gx)
+        nx.accumulate(gx)
+
+    return _result(out_data, (nx,), backward)
 
 
 def huber(x, delta):
     """Elementwise Huber: 0.5 x^2 below delta, delta (|x| - delta/2) above."""
     x = as_tensor(x)
-    absx = np.abs(x.data)
+    xd, nx = x.data, x._node
+    absx = np.abs(xd)
     quad = absx <= delta
-    out_data = np.where(quad, 0.5 * x.data**2, delta * (absx - 0.5 * delta))
+    out_data = np.where(quad, 0.5 * xd**2, delta * (absx - 0.5 * delta))
 
     def backward(g):
-        x._accumulate(g * np.where(quad, x.data, delta * np.sign(x.data)))
+        nx.accumulate(g * np.where(quad, xd, delta * np.sign(xd)))
 
-    return _result(out_data, (x,), backward)
+    return _result(out_data, (nx,), backward)
 
 
 # -- reductions / shaping ------------------------------------------------------
@@ -513,15 +580,16 @@ def huber(x, delta):
 def tsum(x, axis=None):
     x = as_tensor(x)
     out_data = x.data.sum(axis=axis)
+    nx, shape = x._node, x.data.shape
 
     def backward(g):
         if axis is None:
-            x._accumulate(np.broadcast_to(g, x.data.shape).copy())
+            nx.accumulate(np.broadcast_to(g, shape).copy())
         else:
-            x._accumulate(np.broadcast_to(
-                np.expand_dims(g, axis), x.data.shape).copy())
+            nx.accumulate(np.broadcast_to(np.expand_dims(g, axis),
+                                          shape).copy())
 
-    return _result(out_data, (x,), backward)
+    return _result(out_data, (nx,), backward)
 
 
 def tmean(x, axis=None):
@@ -533,22 +601,23 @@ def tmean(x, axis=None):
 def reshape(x, shape):
     x = as_tensor(x)
     out_data = x.data.reshape(shape)
+    nx, x_shape = x._node, x.data.shape
 
     def backward(g):
-        x._accumulate(g.reshape(x.data.shape))
+        nx.accumulate(g.reshape(x_shape))
 
-    return _result(out_data, (x,), backward)
+    return _result(out_data, (nx,), backward)
 
 
 def transpose(x, axes):
     x = as_tensor(x)
     out_data = x.data.transpose(axes)
-    inv = np.argsort(axes)
+    nx, inv = x._node, np.argsort(axes)
 
     def backward(g):
-        x._accumulate(g.transpose(inv))
+        nx.accumulate(g.transpose(inv))
 
-    return _result(out_data, (x,), backward)
+    return _result(out_data, (nx,), backward)
 
 
 def _is_basic_index(idx):
@@ -563,17 +632,18 @@ def _is_basic_index(idx):
 def take(x, idx):
     x = as_tensor(x)
     out_data = x.data[idx]
+    nx, shape = x._node, x.data.shape
     basic = _is_basic_index(idx)
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         if basic:
             gx[idx] += g
         else:  # an advanced index may repeat elements
             np.add.at(gx, idx, g)
-        x._accumulate(gx)
+        nx.accumulate(gx)
 
-    return _result(out_data, (x,), backward)
+    return _result(out_data, (nx,), backward)
 
 
 # -- linear maps ---------------------------------------------------------------
@@ -582,30 +652,46 @@ def matmul(a, b):
     """Batched matrix product on the trailing two axes."""
     a, b = as_tensor(a), as_tensor(b)
     out_data = np.matmul(a.data, b.data)
+    na, nb, a_shape, b_shape = a._node, b._node, a.data.shape, b.data.shape
+    # each operand's gradient reads the other's values
+    a_data = a.data if nb is not None else None
+    b_data = b.data if na is not None else None
 
     def backward(g):
-        if _needs_grad(a):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if _needs_grad(b):
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        if na is not None:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            na.accumulate(_unbroadcast(ga, a_shape))
+        if nb is not None:
+            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            nb.accumulate(_unbroadcast(gb, b_shape))
 
-    return _result(out_data, (a, b), backward)
+    return _result(out_data, (na, nb), backward)
 
 
 def channel_affine(m, x):
-    """Apply a (3, 3) matrix on the channel axis of x with layout (B, 3, T)."""
+    """Apply a (3, 3) matrix on the channel axis of x with layout (B, 3, T).
+
+    einsum picks its summation loop from x's memory layout, so the bits
+    depend on that layout as well as on x's values. On standard normal
+    x and m, an F-ordered (1, 3, T) input differs from the C-ordered one
+    with equal values at every T >= 2 (by up to 8.9e-16 at T = 1000 and
+    1.8e-15 at T = 12000), and a strided (6, 3, 1) view differs from its
+    contiguous copy. A forward that must give the bits of another, such
+    as a later carried-state one, passes x in C order."""
     m, x = as_tensor(m), as_tensor(x)
     out_data = np.einsum("ij,bjt->bit", m.data, x.data)
+    nm, nx = m._node, x._node
+    # each operand's gradient reads the other's values
+    m_data = m.data if nx is not None else None
+    x_data = x.data if nm is not None else None
 
     def backward(g):
-        if _needs_grad(m):
-            m._accumulate(np.einsum("bit,bjt->ij", g, x.data))
-        if _needs_grad(x):
-            x._accumulate(np.einsum("ij,bit->bjt", m.data, g))
+        if nm is not None:
+            nm.accumulate(np.einsum("bit,bjt->ij", g, x_data))
+        if nx is not None:
+            nx.accumulate(np.einsum("ij,bit->bjt", m_data, g))
 
-    return _result(out_data, (m, x), backward)
+    return _result(out_data, (nm, nx), backward)
 
 
 def conv1d_dilated(x, w, b, dilation=1):
@@ -642,15 +728,20 @@ def conv1d_dilated(x, w, b, dilation=1):
             f"input too short: T={t} < (K-1)*dilation+1={(k-1)*dilation+1}"
         )
 
-    xd, wd = x.data, w.data
+    xd, wd, bd = x.data, w.data, b.data
+    nx, nw, nb = x._node, w._node, b._node
     out_data = np.empty((bsz, c_out, t_out))
     tap = np.empty_like(out_data)
     # the larger of input and output measures the work against LANE_MIN_SIZE
     big = xd if xd.size > out_data.size else out_data
+    big_size = big.size
+    # gw reads the input, gx the weights
+    x_data = xd if nw is not None else None
+    w_data = wd if nx is not None else None
 
     def forward(idx):
         out, buf = out_data[idx], tap[idx]
-        out[...] = b.data[None, :, None]
+        out[...] = bd[None, :, None]
         for kk in range(k):
             seg = xd[idx, :, kk * dilation: kk * dilation + t_out]
             out += np.matmul(wd[:, :, kk], seg, out=buf)
@@ -658,14 +749,14 @@ def conv1d_dilated(x, w, b, dilation=1):
     _halves(forward, big)
 
     def backward(g):
-        need_w, need_x = _needs_grad(w), _needs_grad(x)
+        need_w, need_x = nw is not None, nx is not None
 
         def weight_grad():
             if not need_w:
                 return None
-            gw = np.zeros_like(wd)
+            gw = np.zeros((c_out, c_in, k))
             g_rows = g.transpose(1, 0, 2).reshape(c_out, -1)
-            x_rows = np.ascontiguousarray(xd.transpose(0, 2, 1))
+            x_rows = np.ascontiguousarray(x_data.transpose(0, 2, 1))
             for kk in range(k):
                 seg = x_rows[:, kk * dilation: kk * dilation + t_out]
                 gw[:, :, kk] = np.dot(g_rows, seg.reshape(-1, c_in))
@@ -674,23 +765,23 @@ def conv1d_dilated(x, w, b, dilation=1):
         def input_grad():
             if not need_x:
                 return None
-            gx = np.zeros_like(xd)
+            gx = np.zeros((bsz, c_in, t))
             buf = np.empty((bsz, c_in, t_out))
             for kk in range(k):
                 gx[:, :, kk * dilation: kk * dilation + t_out] += np.matmul(
-                    wd[:, :, kk].T, g, out=buf)
+                    w_data[:, :, kk].T, g, out=buf)
             return gx
 
         gw, gx = _both(weight_grad, input_grad,
-                       big.size if need_w and need_x else 0)
+                       big_size if need_w and need_x else 0)
         if need_w:
-            w._accumulate(gw)
+            nw.accumulate(gw)
         if need_x:
-            x._accumulate(gx)
-        if _needs_grad(b):
-            b._accumulate(g.sum(axis=(0, 2)))
+            nx.accumulate(gx)
+        if nb is not None:
+            nb.accumulate(g.sum(axis=(0, 2)))
 
-    return _result(out_data, (x, w, b), backward)
+    return _result(out_data, (nx, nw, nb), backward)
 
 
 # weight of each batch's statistics in the running ones, and the variance
@@ -714,7 +805,8 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
     reduction is one call on the whole array, and two independent ones may
     run at the same time."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    xd = x.data
+    xd, gd = x.data, gamma.data
+    nx, ngamma, nbeta = x._node, gamma._node, beta._node
     bsz, c, t = xd.shape
     n = bsz * t
     if training and n < 2:
@@ -744,28 +836,28 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
         # out = gamma * xhat + beta
         xh, out = xhat[idx], out_data[idx]
         xh *= ivar[None, :, None]
-        np.multiply(gamma.data[None, :, None], xh, out=out)
+        np.multiply(gd[None, :, None], xh, out=out)
         out += beta.data[None, :, None]
 
     _halves(scale, xd)
 
     def backward(g):
-        need_x = _needs_grad(x)
+        need_x = nx is not None
         buf = np.empty_like(xhat)
         gx = np.empty_like(xhat) if need_x else None
 
         def products(idx):
             np.multiply(g[idx], xhat[idx], out=buf[idx])
             if need_x:  # d loss / d xhat
-                np.multiply(g[idx], gamma.data[None, :, None], out=gx[idx])
+                np.multiply(g[idx], gd[None, :, None], out=gx[idx])
 
         _halves(products, buf)
         ggamma, gbeta = _both(lambda: np.sum(buf, axis=(0, 2)),
                               lambda: np.sum(g, axis=(0, 2)), g.size)
-        if _needs_grad(gamma):
-            gamma._accumulate(ggamma)
-        if _needs_grad(beta):
-            beta._accumulate(gbeta)
+        if ngamma is not None:
+            ngamma.accumulate(ggamma)
+        if nbeta is not None:
+            nbeta.accumulate(gbeta)
         if not need_x:
             return
         if training:
@@ -791,9 +883,9 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
                 gxs *= ivar[None, :, None]
 
         _halves(combine, gx)
-        x._accumulate(gx)
+        nx.accumulate(gx)
 
-    return _result(out_data, (x, gamma, beta), backward)
+    return _result(out_data, (nx, ngamma, nbeta), backward)
 
 
 # -- SO(3) nodes ---------------------------------------------------------------
@@ -801,16 +893,17 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
 def exp_so3(v):
     """Tensor node for the SO(3) exponential map, v (..., 3) -> (..., 3, 3)."""
     v = as_tensor(v)
-    out_data = so3.exp_so3(v.data)
+    vd, nv = v.data, v._node
+    out_data = so3.exp_so3(vd)
 
     def backward(g):
         # dR = R hat(Jr dv)  =>  grad_v = Jr^T vee(R^T G - (R^T G)^T)
         a = np.einsum("...ji,...jk->...ik", out_data, g)
         w = so3.vee(a - np.swapaxes(a, -1, -2))
-        jr = so3.right_jacobian(v.data)
-        v._accumulate(np.einsum("...ji,...j->...i", jr, w))
+        jr = so3.right_jacobian(vd)
+        nv.accumulate(np.einsum("...ji,...j->...i", jr, w))
 
-    return _result(out_data, (v,), backward)
+    return _result(out_data, (nv,), backward)
 
 
 def log_so3(r):
@@ -821,6 +914,7 @@ def log_so3(r):
     (the loss only ever sees small residual rotations).
     """
     r = as_tensor(r)
+    nr = r._node
     theta, a, c = so3.log_parts(r.data)
     if np.any(theta > np.pi - 0.01):
         raise so3.DomainError(
@@ -840,6 +934,6 @@ def log_so3(r):
         gr = so3.hat(ga)  # gradient of the vee(R - R^T) part
         scal = np.einsum("...i,...i->...", g, a) * dc_du * 0.5
         gr = gr + scal[..., None, None] * np.eye(3)
-        r._accumulate(gr)
+        nr.accumulate(gr)
 
-    return _result(out_data, (r,), backward)
+    return _result(out_data, (nr,), backward)

@@ -299,6 +299,13 @@ def _run_fit(args, zero_input, defaults):
     if args.resume:
         params, extra = network.load_checkpoint(args.resume)
         start_epoch = int(extra.get("epoch", 0))
+        if "val_loss" in extra:
+            # checkpoint.json: the best epoch, which a resume would follow
+            # with epochs the log already holds
+            raise data.ValidationError(
+                f"--resume {args.resume}: holds the best epoch "
+                f"({start_epoch}), not the last one trained; resume from "
+                "the run's checkpoint_last.json")
         if bool(extra.get("zero_input", False)) != zero_input:
             fit_by = "calibrate" if extra.get("zero_input") else "train"
             raise data.ValidationError(

@@ -65,7 +65,7 @@ def test_backward_frees_intermediates_and_keeps_leaf_grads():
     w = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     x = rng.normal(size=(4, 3))
     h = ad.gelu(w * x)
-    h_ref = weakref.ref(h)
+    h_ref = weakref.ref(h.data)  # the array mul's backward reads
     out = (h * h).sum()
     want = out.data.copy()
     del h
@@ -75,6 +75,73 @@ def test_backward_frees_intermediates_and_keeps_leaf_grads():
     assert out.grad is None and out._parents == ()
     np.testing.assert_array_equal(out.data, want)
     assert w.grad is not None and np.any(w.grad != 0)
+
+
+def _layer_into_layer(keep):
+    """conv -> batchnorm -> GELU -> dropout -> conv, chained as
+    network.forward chains a layer into the next, and a sum of squares.
+    Returns (loss, leaves, weakrefs to the intermediates' values); the
+    intermediate Tensors are dropped unless keep, which returns them too."""
+    rng = np.random.default_rng(50)
+    x = ad.Tensor(rng.normal(size=(6, 4, 60)))
+    leaves = [ad.Tensor(rng.normal(size=s), requires_grad=True)
+              for s in ((5, 4, 3), (5,), (5,), (5,), (3, 5, 3), (3,))]
+    w0, b0, gamma, beta, w1, b1 = leaves
+    h = {"conv": ad.conv1d_dilated(x, w0, b0, 2)}
+    h["batchnorm"] = ad.batchnorm1d(h["conv"], gamma, beta,
+                                    ad.BatchNormState(5), True)
+    h["gelu"] = ad.gelu(h["batchnorm"])
+    h["dropout"] = ad.dropout(h["gelu"], 0.25, rng)
+    out = ad.conv1d_dilated(h["dropout"], w1, b1, 4)
+    refs = {name: weakref.ref(t.data) for name, t in h.items()}
+    return (out * out).sum(), leaves, refs, (h if keep else None)
+
+
+def test_values_no_backward_reads_are_freed_before_backward():
+    loss, _, refs, _ = _layer_into_layer(keep=False)
+    # the conv output under batchnorm and the GELU output under dropout
+    assert refs["conv"]() is None
+    assert refs["gelu"]() is None
+    # GELU's input and the next conv's input stay until backward reads them
+    assert refs["batchnorm"]() is not None
+    assert refs["dropout"]() is not None
+    loss.backward()
+    assert refs["batchnorm"]() is None
+    assert refs["dropout"]() is None
+
+
+def test_dropping_intermediates_keeps_the_gradient_bits():
+    loss, leaves, _, _ = _layer_into_layer(keep=False)
+    kept_loss, kept_leaves, _, kept = _layer_into_layer(keep=True)
+    loss.backward()
+    kept_loss.backward()
+    assert_same_bits(loss.data, kept_loss.data)
+    for leaf, ref in zip(leaves, kept_leaves):
+        assert leaf.grad is not None and np.any(leaf.grad != 0)
+        assert_same_bits(leaf.grad, ref.grad)
+
+
+def test_backward_closures_hold_no_tensor():
+    out, _, _ = _small_pipeline()
+    nodes, seen = [out._node], set()
+    while nodes:
+        node = nodes.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for cell in (node.backward_fn.__closure__ or ()
+                     if node.backward_fn else ()):
+            assert not isinstance(cell.cell_contents, ad.Tensor)
+        nodes.extend(node.parents)
+    assert len(seen) > 10
+
+
+def test_dropout_backward_keeps_one_bool_mask():
+    x = ad.Tensor(np.ones((4, 5)), requires_grad=True)
+    y = ad.dropout(x, 0.5, np.random.default_rng(51))
+    held = [cell.cell_contents for cell in y._backward_fn.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+    assert [(a.dtype, a.shape) for a in held] == [(np.dtype(bool), (4, 5))]
 
 
 def test_second_backward_through_consumed_graph_raises():

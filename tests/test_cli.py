@@ -351,6 +351,21 @@ def test_resume_at_or_past_the_last_epoch_is_refused(tmp_path, capsys):
     assert (read(last), read(outdir, "metrics.csv")) == before
 
 
+def test_resume_from_the_best_epoch_checkpoint_is_refused(tmp_path, capsys):
+    # checkpoint.json holds the best epoch, not the last one trained: a
+    # resume from it would log the epochs after the best one a second time
+    scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,0,0")
+    outdir = str(tmp_path / "run")
+    assert run("train", *train_args(scene, outdir), "--epochs", "2") == 0
+    best = os.path.join(outdir, "checkpoint.json")
+    before = read(best), read(outdir, "metrics.csv")
+    capsys.readouterr()
+    assert run("train", *train_args(scene, outdir), "--epochs", "4",
+               "--resume", best) == cli.EXIT_DATA
+    assert "checkpoint_last.json" in capsys.readouterr().err
+    assert (read(best), read(outdir, "metrics.csv")) == before
+
+
 @pytest.mark.parametrize("fit, resume", [("train", "calibrate"),
                                          ("calibrate", "train")])
 def test_resume_refuses_a_checkpoint_fit_in_the_other_mode(tmp_path, capsys,
