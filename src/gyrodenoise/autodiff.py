@@ -21,27 +21,9 @@ and network.forward, which rebinds one name layer by layer, frees it as
 it moves on. `backward()` consumes the graph it walks, so what the
 closures kept is freed during the backward pass: no intermediate keeps a
 .grad, and a second backward through a consumed node raises ValueError.
-The convolution is one BLAS GEMM per kernel tap in each direction, so its
-bits, like everything downstream, depend on the BLAS thread count as well
-as on the inputs; `one_blas_thread()` pins that count to one, and the
-command line runs inside it.
-
-The command line also opens a compute lane (`compute_lane()`): a
-one-thread executor, the command's one worker thread. Work is shared with
-it one way, through a `Jobs` queue of independent callables that the
-thread that opened the lane and the lane both take from, so a training
-step uses two cores: a heavy kernel's queue holds its two halves, and the
-eval forward's (`network.rate_blocks`) its blocks. The convolution splits
-its forward by batch halves and runs its backward's gw and gx GEMMs side
-by side; GELU, dropout's multiply and every elementwise pass of batchnorm
-split by batch halves. A reduction is never split: each is the one call
-on the whole array that an inline run makes, and only batchnorm's
-backward runs two independent ones at the same time. Each kernel has one
-body; without the lane (library calls, other threads, kernels under
-LANE_MIN_SIZE elements) both halves run on the calling thread, so the
-bits are the same either way. Every autodiff decision stays on the
-calling thread, since grad mode is per thread; a job that builds tensors
-sets its own grad mode.
+Each heavy kernel runs its elementwise passes by batch halves through
+`lane._halves` and its independent products through `lane._both`, so a
+compute lane, when open, takes one of them with the same bits (lane.py).
 
 The arithmetic kernels write their results into fresh buffers, so a result
 never aliases an input (`take`, `reshape` and `transpose` return numpy
@@ -61,16 +43,12 @@ reaches no parameter.
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import ctypes
-import functools
 import threading
-from concurrent import futures
 
 import numpy as np
 
-from . import so3
+from . import lane, so3
 
 
 def _consumed(g):
@@ -238,172 +216,6 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
-@functools.lru_cache(maxsize=None)
-def _openblas_thread_fns():
-    """(get, set) of the thread count of the OpenBLAS that numpy links, or
-    None when numpy links another BLAS."""
-    try:
-        from numpy._core import _multiarray_umath
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except (ImportError, OSError):
-        return None
-    # symbol lookup through numpy's extension also searches the libraries
-    # it links; the names differ between numpy's own and a system build
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                put.argtypes = [ctypes.c_int]
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run numpy's OpenBLAS on one thread inside the block and restore the
-    previous count on exit. The results then do not depend on the core
-    count, and a GEMM never waits on a second core that a shared host is
-    using elsewhere. With another BLAS the block runs unchanged."""
-    fns = _openblas_thread_fns()
-    if fns is None:
-        yield
-        return
-    get, put = fns
-    prev = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(prev)
-
-
-# -- the compute lane -----------------------------------------------------------
-
-# kernels on fewer elements than this run both halves on the calling thread.
-# On a 2-vCPU Xeon a hand-off costs about 30 us, and a conv forward and
-# backward with a (6, 32, 481) output took 4.6 ms through the lane against
-# 3.7 ms inline. Handing off calibrate's widest layer, (6, 64, 385) or
-# 147,840 elements, saved nothing end to end over 10 benchmark pairs and
-# widened their spread, while train's narrowest, (6, 16, 1786) or 171,456
-# elements, took 13.6 ms through the lane against 16.7 ms inline for its
-# conv, batchnorm, GELU and dropout.
-LANE_MIN_SIZE = 150_000
-
-
-class _OpenLane(threading.local):
-    """The lane this thread opened, kept per thread: no other thread's
-    kernels hand work to it."""
-    lane = None
-
-
-_open = _OpenLane()
-
-
-@contextlib.contextmanager
-def compute_lane():
-    """Inside the block, this thread's kernels share their large numpy
-    passes with one worker thread, and the bits of every result stay those
-    of this thread doing all of it. Open it only with one BLAS thread
-    (`one_blas_thread()`), so that the GEMMs of the two threads share no
-    core. Yields the lane, a one-thread executor whose thread starts at the
-    first submit; a block nested in an open one yields that lane, and the
-    outermost block joins the thread on exit.
-
-    This thread shares work with the lane through `Jobs` queues. A job the
-    lane takes never hands work off, since the open lane is per thread and
-    the lane's own thread has none. A queue whose turn waits behind a busy
-    lane does not wait for it: this thread takes every job itself."""
-    if _open.lane is not None:
-        yield _open.lane
-        return
-    with futures.ThreadPoolExecutor(
-            1, thread_name_prefix="autodiff-lane") as lane:
-        _open.lane = lane
-        try:
-            yield lane
-        finally:
-            _open.lane = None
-
-
-class Jobs:
-    """Independent callables in one queue that any thread may take from the
-    front (deque.popleft is atomic, so no lock is needed): the thread that
-    joins the queue and the lane it has open share them, whichever is free
-    taking the next. A job that builds tensors sets its own grad mode,
-    which is per thread."""
-
-    def __init__(self, jobs):
-        self._queue = collections.deque(enumerate(jobs))
-        self._results = [None] * len(self._queue)
-        self._errors = {}
-        self._turn = None
-
-    def start(self):
-        """Submit a turn at the queue to this thread's open lane, if any;
-        returns self."""
-        if _open.lane is not None:
-            self._turn = _open.lane.submit(self.work)
-        return self
-
-    def work(self):
-        """Take jobs from the front until none is left or one raises: a
-        thread takes no more jobs after one of its own has failed, and the
-        error is kept for join() to raise."""
-        take = self._queue.popleft
-        while True:
-            try:
-                i, job = take()
-            except IndexError:
-                return
-            try:
-                self._results[i] = job()
-            except BaseException as err:
-                self._errors[i] = err
-                return
-
-    def stop(self):
-        """Drop the jobs no thread has taken, for a caller that will not
-        read the results; a job being run still finishes."""
-        self._queue.clear()
-
-    def join(self):
-        """Take jobs on this thread until none is left, then cancel the
-        lane's turn if it has not started, else wait for it. Returns the
-        results in job order, or raises the error of the first job, in job
-        order, that failed."""
-        self.work()
-        if self._turn is not None and not self._turn.cancel():
-            self._turn.result()
-        if self._errors:
-            raise self._errors[min(self._errors)]
-        return self._results
-
-
-def _both(there, here, size):
-    """(there(), here()), both jobs of one `Jobs` queue when a lane is open
-    and size reaches LANE_MIN_SIZE: this thread takes here() first, and
-    there() goes to whichever thread is free next. Else there() then here()
-    on this thread. Raises here's error before there's."""
-    if _open.lane is None or size < LANE_MIN_SIZE:
-        return there(), here()
-    mine, theirs = Jobs([here, there]).start().join()
-    return theirs, mine
-
-
-def _halves(body, like):
-    """body(idx) for the first and the second half of the leading axis of
-    the array like (idx a slice), through _both; one body(...) when that
-    axis has fewer than two rows. Elementwise passes only: a reduction is
-    never split."""
-    n = like.shape[0] if like.ndim else 0
-    if n < 2:
-        body(...)
-        return
-    h = n // 2
-    _both(lambda: body(slice(0, h)), lambda: body(slice(h, n)), like.size)
-
-
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -493,7 +305,7 @@ def gelu(x):
         np.multiply(0.5, xs, out=out)
         out *= 1.0 + ts
 
-    _halves(forward, xd)
+    lane._halves(forward, xd)
 
     def backward(g):
         dx = np.empty_like(xd)
@@ -516,7 +328,7 @@ def gelu(x):
             d += slope
             d *= g[idx]
 
-        _halves(grad, dx)
+        lane._halves(grad, dx)
         nx.accumulate(dx)
 
     return _result(out_data, (nx,), backward)
@@ -546,7 +358,7 @@ def dropout(x, p, rng):
         np.multiply(keep[idx], scale, out=m)
         np.multiply(xd[idx], m, out=out_data[idx])
 
-    _halves(forward, mask)
+    lane._halves(forward, mask)
 
     def backward(g):
         gx = np.empty(keep.shape)
@@ -555,7 +367,7 @@ def dropout(x, p, rng):
             m = np.multiply(keep[idx], scale, out=gx[idx])
             np.multiply(g[idx], m, out=m)
 
-        _halves(grad, gx)
+        lane._halves(grad, gx)
         nx.accumulate(gx)
 
     return _result(out_data, (nx,), backward)
@@ -746,7 +558,7 @@ def conv1d_dilated(x, w, b, dilation=1):
             seg = xd[idx, :, kk * dilation: kk * dilation + t_out]
             out += np.matmul(wd[:, :, kk], seg, out=buf)
 
-    _halves(forward, big)
+    lane._halves(forward, big)
 
     def backward(g):
         need_w, need_x = nw is not None, nx is not None
@@ -772,8 +584,8 @@ def conv1d_dilated(x, w, b, dilation=1):
                     w_data[:, :, kk].T, g, out=buf)
             return gx
 
-        gw, gx = _both(weight_grad, input_grad,
-                       big_size if need_w and need_x else 0)
+        gw, gx = lane._both(weight_grad, input_grad,
+                            big_size if need_w and need_x else 0)
         if need_w:
             nw.accumulate(gw)
         if need_x:
@@ -823,7 +635,7 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
         if training:
             np.square(xhat[idx], out=out_data[idx])
 
-    _halves(center, xd)
+    lane._halves(center, xd)
     if training:
         var = out_data.sum(axis=(0, 2)) / n
         state.mean = (1 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mu
@@ -839,7 +651,7 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
         np.multiply(gd[None, :, None], xh, out=out)
         out += beta.data[None, :, None]
 
-    _halves(scale, xd)
+    lane._halves(scale, xd)
 
     def backward(g):
         need_x = nx is not None
@@ -851,9 +663,9 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
             if need_x:  # d loss / d xhat
                 np.multiply(g[idx], gd[None, :, None], out=gx[idx])
 
-        _halves(products, buf)
-        ggamma, gbeta = _both(lambda: np.sum(buf, axis=(0, 2)),
-                              lambda: np.sum(g, axis=(0, 2)), g.size)
+        lane._halves(products, buf)
+        ggamma, gbeta = lane._both(lambda: np.sum(buf, axis=(0, 2)),
+                                   lambda: np.sum(g, axis=(0, 2)), g.size)
         if ngamma is not None:
             ngamma.accumulate(ggamma)
         if nbeta is not None:
@@ -863,11 +675,11 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
         if training:
             # standard batchnorm backward through the batch statistics:
             # (ivar / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
-            _halves(lambda idx: np.multiply(gx[idx], xhat[idx], out=buf[idx]),
-                    buf)
-            sum_gxhat, sum_gxhat_xhat = _both(lambda: gx.sum(axis=(0, 2)),
-                                              lambda: buf.sum(axis=(0, 2)),
-                                              g.size)
+            lane._halves(
+                lambda idx: np.multiply(gx[idx], xhat[idx], out=buf[idx]), buf)
+            sum_gxhat, sum_gxhat_xhat = lane._both(
+                lambda: gx.sum(axis=(0, 2)), lambda: buf.sum(axis=(0, 2)),
+                g.size)
             ivar_n = ivar / n
 
             def combine(idx):
@@ -882,7 +694,7 @@ def batchnorm1d(x, gamma, beta, state: BatchNormState, training):
                 gxs = gx[idx]
                 gxs *= ivar[None, :, None]
 
-        _halves(combine, gx)
+        lane._halves(combine, gx)
         nx.accumulate(gx)
 
     return _result(out_data, (nx, ngamma, nbeta), backward)

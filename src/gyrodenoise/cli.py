@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import autodiff, data, evaluator, imu, loss, network, trainer
+from . import data, evaluator, imu, lane, loss, network, trainer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,7 +89,8 @@ def _read_config(path):
     and net.dropout. Any other key, an unknown format, a per-sequence key
     whose NAME has no split. key, an unknown role, a window or offset
     value that is not two comma-separated numbers or one number, or a
-    train, loss or net value of the wrong type is a ValidationError.
+    train, loss or net value of the wrong type is a ValidationError, and so
+    is a non-finite offset or a NaN window bound (a window may end at inf).
     Returns the flat dict, with the train, loss and net values converted.
     """
     cfg = data.parse_config(path)
@@ -130,12 +131,17 @@ def _check_numbers(key, name, text, count):
     what = ("two comma-separated numbers (start, end in s)" if count == 2
             else "one number (s)")
     try:
-        ok = len([float(x) for x in text.split(",")]) == count
+        values = [float(x) for x in text.split(",")]
     except ValueError:
-        ok = False
-    if not ok:
+        values = []
+    if len(values) != count:
         raise data.ValidationError(
             f"config key {key!r} of sequence {name!r} needs {what}, "
+            f"got {text!r}")
+    if np.isnan(values).any() or (count == 1 and np.isinf(values).any()):
+        raise data.ValidationError(
+            f"config key {key!r} of sequence {name!r} needs "
+            f"{'a finite number' if count == 1 else 'numbers, not NaN'}, "
             f"got {text!r}")
 
 
@@ -186,8 +192,15 @@ def _load_split(cfg, roles=("train", "val", "test")):
         imu_path, gt_path = _sequence_paths(root, name, fmt)
         seq, gt = data.load_sequence(cfg.get(f"imu.{name}", imu_path),
                                      cfg.get(f"gt.{name}", gt_path), name)
-        aligned = data.align_ground_truth(
-            seq, gt, offset_s=float(cfg.get(f"offset.{name}", 0.0)))
+        offset = f"offset.{name}"
+        try:
+            aligned = data.align_ground_truth(
+                seq, gt, offset_s=float(cfg.get(offset, 0.0)))
+        except data.ValidationError as err:
+            if offset not in cfg:
+                raise
+            raise data.ValidationError(
+                f"config key {offset!r}: {err}") from None
         window = cfg.get(f"window.{name}",
                          "0, 50" if role == "train+val" else "0, inf")
         lo, hi = (float(x) * 1e9 for x in window.split(","))
@@ -569,7 +582,7 @@ def main(argv=None):
         # lane: the kernels of a large batch hand it half of their work,
         # and integrate and evaluate share their CNN blocks with it, with
         # the bits of one thread
-        with autodiff.one_blas_thread(), autodiff.compute_lane():
+        with lane.compute_lane():
             return args.func(args)
     except trainer.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -347,9 +347,17 @@ def align_ground_truth(imu: ImuSequence, gt: GroundTruth, offset_s=0.0):
     bracketed by a ground-truth spacing larger than 2.5 times the median
     spacing, or falling outside the ground-truth range, are flagged
     in gap_mask. A constant time offset (seconds) is applied to the
-    ground-truth clock before resampling.
+    ground-truth clock before resampling; ValidationError when it moves
+    the first or the last stamp out of int64 nanoseconds.
     """
-    gt_t = gt.t + np.int64(round(offset_s * 1e9))
+    shift = offset_s * 1e9
+    int64 = np.iinfo(np.int64)
+    if not (np.isfinite(shift) and int64.min <= int(gt.t[0]) + round(shift)
+            and int(gt.t[-1]) + round(shift) <= int64.max):
+        raise ValidationError(
+            f"a ground-truth offset of {offset_s!r} s moves its stamps out "
+            f"of int64 nanoseconds")
+    gt_t = gt.t + np.int64(round(shift))
     if gt_t[-1] < imu.t[0] or gt_t[0] > imu.t[-1]:
         raise ValidationError("no time overlap between IMU and ground truth")
 

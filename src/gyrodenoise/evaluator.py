@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff, data, network, so3
+from . import data, lane, network, so3
 
 DEFAULT_DISTANCES = (7.0, 21.0, 35.0)
 ROE_TOLERANCE = 0.05
@@ -167,11 +167,11 @@ def roe(gt, est_rots, distances=DEFAULT_DISTANCES):
 
 def percentiles(values):
     """Quartiles {25.0, 50.0, 75.0: value} of a sample array (linear
-    interpolation); NaN for an empty one."""
+    interpolation); None, which JSON writes as null, for an empty one."""
     qs = (25.0, 50.0, 75.0)
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        return {q: float("nan") for q in qs}
+        return dict.fromkeys(qs)
     return dict(zip(qs, np.percentile(arr, qs).tolist()))
 
 
@@ -237,20 +237,20 @@ def run_baselines(sequences, params=None, distances=DEFAULT_DISTANCES,
     objects ordered by (sequence name, method order as given).
 
     Per sequence, the `proposed` CNN forward is a network.rate_blocks
-    queue that the autodiff compute lane starts taking blocks from before
-    the ROE windows are built; this thread estimates and scores the other
-    methods, then takes blocks too, and integrates and scores `proposed`
-    once no block is left or running. Inside an open `compute_lane()`, as
-    under the command line, that is the lane already open; otherwise one
-    is opened and joined here. The lane's matrix products and large ufunc
-    loops release the GIL, so the two threads overlap on two cores. A
-    block's rates are the same bits whichever thread computes it, and
-    every track and score is computed as one after another would compute
-    it, so the reports are bit-identical to a serial run's; when methods
-    fail the error raised is the first one in method order.
+    queue that the lane starts taking blocks from before the ROE windows
+    are built; this thread estimates and scores the other methods, then
+    takes blocks too, and integrates and scores `proposed` once no block
+    is left or running. Inside an open `lane.compute_lane()`, as under the
+    command line, that is the lane already open; otherwise one is opened
+    here, with BLAS on one thread, and joined. The lane's matrix products
+    and large ufunc loops release the GIL, so the two threads overlap on
+    two cores. A block's rates are the same bits whichever thread computes
+    it, and every track and score is computed as one after another would
+    compute it, so the reports are bit-identical to a serial run's; when
+    methods fail the error raised is the first one in method order.
     """
     reports = []
-    with autodiff.compute_lane():
+    with lane.compute_lane():
         for name, seq, gt in sorted(sequences, key=lambda x: x[0]):
             blocks = (network.rate_blocks(params, seq).start()
                       if "proposed" in methods and params is not None
@@ -359,11 +359,13 @@ def load_reports(path):
 
 
 def write_roe_boxplot(roe_summaries, path):
-    """3D ROE median/quartile boxes from (method, roe_summary()) pairs."""
+    """3D ROE median/quartile boxes from (method, roe_summary()) pairs; a
+    bucket without windows draws no box and leaves the scale."""
     groups = {}
     for method, roe in roe_summaries:
         for dist, s in roe.items():
-            groups.setdefault(dist, {}).setdefault(method, []).append(s)
+            if s["count"]:
+                groups.setdefault(dist, {}).setdefault(method, []).append(s)
     dists = sorted(groups)
     methods = sorted({method for method, _ in roe_summaries})
     width, height = 120 * max(1, len(dists) * len(methods)), 320

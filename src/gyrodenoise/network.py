@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from . import so3
+from . import lane, so3
 
 CHECKPOINT_VERSION = 2
 
@@ -215,7 +215,7 @@ def _mean_padded(params, imu_seq):
 
 
 def rate_blocks(params: ModelParams, imu_seq):
-    """The eval-mode corrected rates of a recording as an autodiff.Jobs
+    """The eval-mode corrected rates of a recording as a lane.Jobs
     queue, one job per block of EVAL_BLOCK outputs: each returns its
     block's (L, 3) rates from a valid forward over its receptive_field
     samples of history, so a block's rates are the same bits whichever
@@ -229,7 +229,7 @@ def rate_blocks(params: ModelParams, imu_seq):
                 return forward(params, x[:, :, s:s + width]).data[0].T
         return rates
 
-    return ad.Jobs([block(s) for s in range(0, len(imu_seq), EVAL_BLOCK)])
+    return lane.Jobs([block(s) for s in range(0, len(imu_seq), EVAL_BLOCK)])
 
 
 def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False,
@@ -240,7 +240,7 @@ def integrate_corrected(params: ModelParams, imu_seq, r0, zero_input=False,
     period; returns an (M+1, 3, 3) rotation stack starting at r0.
 
     The rates are those of rate_blocks(params, imu_seq). The calling thread
-    takes its blocks together with the compute lane it has open (as under
+    takes its blocks together with the lane it has open (as under
     the command line), so both cores compute blocks; with no lane open
     every block runs on this thread and no thread starts. blocks, such a
     queue that the lane may already be taking from, is joined instead of a

@@ -33,18 +33,17 @@ def no_thread_left_behind():
 @pytest.fixture
 def lane_handoffs(monkeypatch):
     """The list of hand-offs made while the test runs, `_both` calls that
-    share their two halves with an open autodiff compute lane: the id of
-    the thread that made each one."""
-    from gyrodenoise import autodiff
+    share their two halves with an open compute lane: the id of the thread
+    that made each one."""
+    from gyrodenoise import lane
 
     handoffs = []
-    both = autodiff._both
+    both = lane._both
 
     def counted(there, here, size):
-        if (autodiff._open.lane is not None
-                and size >= autodiff.LANE_MIN_SIZE):
+        if lane._open.lane is not None and size >= lane.LANE_MIN_SIZE:
             handoffs.append(threading.get_ident())
         return both(there, here, size)
 
-    monkeypatch.setattr(autodiff, "_both", counted)
+    monkeypatch.setattr(lane, "_both", counted)
     return handoffs

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gyrodenoise import autodiff as ad
+from gyrodenoise import lane as ln
 from gyrodenoise import network, so3
 
 
@@ -444,13 +445,13 @@ def test_gemm_conv_matches_einsum_at_default_layer_shapes():
 
 
 def test_one_blas_thread_pins_the_count_and_restores_it():
-    fns = ad._openblas_thread_fns()
+    fns = ln._openblas_thread_fns()
     if fns is None:
         pytest.skip("numpy does not link OpenBLAS")
     get, _ = fns
     before = get()
     with pytest.raises(RuntimeError):
-        with ad.one_blas_thread():
+        with ln.one_blas_thread():
             assert get() == 1
             raise RuntimeError
     assert get() == before
@@ -954,8 +955,8 @@ def lane(request, monkeypatch, lane_handoffs):
     if request.param == "inline":
         yield None
         return
-    monkeypatch.setattr(ad, "LANE_MIN_SIZE", 0)
-    with ad.one_blas_thread(), ad.compute_lane():
+    monkeypatch.setattr(ln, "LANE_MIN_SIZE", 0)
+    with ln.one_blas_thread(), ln.compute_lane():
         yield lane_handoffs
 
 
@@ -1027,7 +1028,7 @@ def test_kernels_through_the_lane_under_no_grad_return_constants(lane):
 
 
 def test_lane_raises_a_halfs_error_after_the_other_half(lane_handoffs):
-    size = ad.LANE_MIN_SIZE
+    size = ln.LANE_MIN_SIZE
     threads, finished = [], []
     started = threading.Event()
 
@@ -1055,38 +1056,38 @@ def test_lane_raises_a_halfs_error_after_the_other_half(lane_handoffs):
     def check(there, here):
         started.clear()
         with pytest.raises(FloatingPointError, match="a half"):
-            ad._both(on_lane(there), after_lane_starts(here), size)
+            ln._both(on_lane(there), after_lane_starts(here), size)
         assert finished == [True]
         assert len(set(threads)) == 2
         threads.clear()
         finished.clear()
 
-    with ad.compute_lane():
+    with ln.compute_lane():
         check(fails, slow)  # the lane's half raises
         check(slow, fails)  # the caller's half raises
         # the lane serves the next hand-off
-        assert ad._both(lambda: 1, lambda: 2, size) == (1, 2)
+        assert ln._both(lambda: 1, lambda: 2, size) == (1, 2)
     assert len(lane_handoffs) == 3
 
 
 def test_lane_serves_only_the_thread_that_opened_it(monkeypatch,
                                                    lane_handoffs):
-    monkeypatch.setattr(ad, "LANE_MIN_SIZE", 0)
+    monkeypatch.setattr(ln, "LANE_MIN_SIZE", 0)
     threads = threading.active_count()
     x = ad.Tensor(np.random.default_rng(49).normal(size=(6, 4, 40)))
     seen = {}
-    with ad.one_blas_thread(), ad.compute_lane():
+    with ln.one_blas_thread(), ln.compute_lane():
         worker = threading.Thread(target=lambda: seen.update(y=ad.gelu(x)))
         worker.start()
         worker.join(10)
         assert not worker.is_alive()
         assert lane_handoffs == []
-        with ad.compute_lane():  # a nested block keeps the open lane
-            lane = ad._open.lane
-            ad._both(lambda: None, lambda: None, 0)
-        assert ad._open.lane is lane
+        with ln.compute_lane():  # a nested block keeps the open lane
+            lane = ln._open.lane
+            ln._both(lambda: None, lambda: None, 0)
+        assert ln._open.lane is lane
     assert lane_handoffs == [threading.get_ident()]
-    assert ad._open.lane is None and threading.active_count() == threads
+    assert ln._open.lane is None and threading.active_count() == threads
     np.testing.assert_array_equal(seen["y"].data, ad.gelu(x).data)
 
 
@@ -1096,10 +1097,10 @@ def test_lanes_hand_off_under_thread_switching(lane_handoffs):
     wrong = []
 
     def churn(k):
-        with ad.compute_lane():
+        with ln.compute_lane():
             for i in range(300):
-                got = ad._both(lambda: (k, i), lambda: (i, k),
-                               ad.LANE_MIN_SIZE)
+                got = ln._both(lambda: (k, i), lambda: (i, k),
+                               ln.LANE_MIN_SIZE)
                 if got != ((k, i), (i, k)):
                     wrong.append((k, i, got))
 
@@ -1123,10 +1124,10 @@ def test_lanes_hand_off_under_thread_switching(lane_handoffs):
 def test_lane_thread_is_joined_on_error(lane_handoffs):
     threads = threading.active_count()
     with pytest.raises(KeyError):
-        with ad.compute_lane():
-            ad._both(lambda: None, lambda: None, ad.LANE_MIN_SIZE)
+        with ln.compute_lane():
+            ln._both(lambda: None, lambda: None, ln.LANE_MIN_SIZE)
             raise KeyError("in the block")
-    assert lane_handoffs and ad._open.lane is None
+    assert lane_handoffs and ln._open.lane is None
     assert threading.active_count() == threads
 
 
@@ -1142,13 +1143,13 @@ def test_a_hand_off_behind_a_busy_lane_runs_both_halves_here(lane_handoffs):
         return release.wait(10)
 
     me = threading.get_ident()
-    with ad.compute_lane() as lane:
+    with ln.compute_lane() as lane:
         job = lane.submit(busy)
         try:
             assert started.wait(10)
             t0 = time.perf_counter()
-            got = ad._both(threading.get_ident, threading.get_ident,
-                           ad.LANE_MIN_SIZE)
+            got = ln._both(threading.get_ident, threading.get_ident,
+                           ln.LANE_MIN_SIZE)
             waited = time.perf_counter() - t0
             assert not job.done()
         finally:
@@ -1175,8 +1176,8 @@ def test_jobs_take_each_job_once_under_thread_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ad.compute_lane():
-            jobs = ad.Jobs([job(i) for i in range(n)]).start()
+        with ln.compute_lane():
+            jobs = ln.Jobs([job(i) for i in range(n)]).start()
             workers = [threading.Thread(target=jobs.work) for _ in range(4)]
             for t in workers:
                 t.start()
@@ -1204,8 +1205,8 @@ def test_jobs_join_raises_only_once_no_job_is_running():
     def fails():
         raise FloatingPointError("this thread's job")
 
-    with ad.compute_lane():
-        jobs = ad.Jobs([slow, fails]).start()
+    with ln.compute_lane():
+        jobs = ln.Jobs([slow, fails]).start()
         assert started.wait(10)
         with pytest.raises(FloatingPointError, match="this thread's job"):
             jobs.join()
@@ -1218,7 +1219,7 @@ def test_a_thread_stops_taking_jobs_after_its_own_job_fails():
     def fails():
         raise FloatingPointError("job 1")
 
-    jobs = ad.Jobs([lambda: ran.append(0), fails, lambda: ran.append(2),
+    jobs = ln.Jobs([lambda: ran.append(0), fails, lambda: ran.append(2),
                     lambda: ran.append(3)])
     jobs.work()  # job 0, then the failing job 1
     assert ran == [0]

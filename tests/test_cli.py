@@ -1,5 +1,4 @@
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -9,7 +8,8 @@ import types
 import numpy as np
 import pytest
 
-from gyrodenoise import autodiff, cli, data, evaluator, network, trainer
+from gyrodenoise import cli, data, evaluator, network, trainer
+from gyrodenoise import lane as ln
 
 
 def run(*argv):
@@ -513,12 +513,12 @@ def test_fit_through_the_lane_writes_the_bytes_of_one_thread(
     # on one BLAS thread with the lane never opened
     scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,-0.01,0")
     epochs = ["--epochs", "2", "--restart-period", "2"]
-    monkeypatch.setattr(autodiff, "LANE_MIN_SIZE", 0)
+    monkeypatch.setattr(ln, "LANE_MIN_SIZE", 0)
     assert run(command, *train_args(scene, str(tmp_path / "lane")),
                *epochs) == 0
     assert lane_handoffs
     lane_handoffs.clear()
-    monkeypatch.setattr(autodiff, "compute_lane", contextlib.nullcontext)
+    monkeypatch.setattr(ln, "compute_lane", ln.one_blas_thread)
     assert run(command, *train_args(scene, str(tmp_path / "inline")),
                *epochs) == 0
     assert lane_handoffs == []
@@ -536,7 +536,7 @@ def test_fit_through_the_lane_writes_the_bytes_of_one_thread(
 def test_fit_leaves_no_thread_behind(tmp_path, monkeypatch, lane_handoffs,
                                     command):
     scene = synth_scene(tmp_path, duration=20.0, gyro_bias="0.02,0,0")
-    monkeypatch.setattr(autodiff, "LANE_MIN_SIZE", 0)
+    monkeypatch.setattr(ln, "LANE_MIN_SIZE", 0)
     threads = threading.active_count()
     assert run(command, *train_args(scene, str(tmp_path / "run")),
                "--epochs", "1") == 0
@@ -548,7 +548,7 @@ def test_divergence_leaves_no_thread_behind(tmp_path, monkeypatch,
                                             lane_handoffs):
     # a validation part of three windows, so that its forward uses the lane
     argv = diverging_train_args(tmp_path) + ["--val-frac", "0.5"]
-    monkeypatch.setattr(autodiff, "LANE_MIN_SIZE", 0)
+    monkeypatch.setattr(ln, "LANE_MIN_SIZE", 0)
     threads = threading.active_count()
     assert run("train", *argv) == cli.EXIT_DIVERGED
     assert lane_handoffs
@@ -768,6 +768,14 @@ def test_evaluate_on_config_without_sequences_is_data_error(tmp_path, capsys):
                      "comma-separated numbers (start, end in s), got '0'"),
     ("offset.a = half", "config key 'offset.a' of sequence 'a' needs one "
                         "number (s), got 'half'"),
+    ("offset.a = inf", "config key 'offset.a' of sequence 'a' needs a "
+                       "finite number, got 'inf'"),
+    ("offset.a = -inf", "config key 'offset.a' of sequence 'a' needs a "
+                        "finite number, got '-inf'"),
+    ("offset.a = nan", "config key 'offset.a' of sequence 'a' needs a "
+                       "finite number, got 'nan'"),
+    ("window.c = 0, nan", "config key 'window.c' of sequence 'c' needs "
+                          "numbers, not NaN, got '0, nan'"),
 ])
 def test_malformed_window_or_offset_is_data_error_before_loading(
         tmp_path, capsys, line, message):
@@ -777,6 +785,23 @@ def test_malformed_window_or_offset_is_data_error_before_loading(
     assert run("evaluate", "--config", path,
                "--out", str(tmp_path / "rep")) == cli.EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset", ["1e10", "-1e10", "1e300"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_offset_that_moves_stamps_out_of_int64_is_data_error(
+        tmp_path, capsys, command, offset):
+    synth_scene(tmp_path, name="s1", duration=4.0)
+    role = "test" if command == "evaluate" else "train"
+    path = write_config(tmp_path, (f"data_root = {tmp_path}\n"
+                                   f"split.s1 = {role}\n"
+                                   f"offset.s1 = {offset}\n"))
+    assert run(command, "--config", path,
+               "--out", str(tmp_path / "run")) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith("error: config key 'offset.s1': ")
+    assert "out of int64 nanoseconds" in err
 
 
 # -- config keys -------------------------------------------------------------------
@@ -987,7 +1012,7 @@ def test_integrate_writes_the_bytes_of_one_thread(tmp_path, monkeypatch):
             "--imu", os.path.join(scene, "imu.csv"),
             "--gt", os.path.join(scene, "gt.csv")]
     assert run(*argv, "--out", str(tmp_path / "lane.csv")) == 0
-    monkeypatch.setattr(autodiff, "compute_lane", contextlib.nullcontext)
+    monkeypatch.setattr(ln, "compute_lane", ln.one_blas_thread)
     assert run(*argv, "--out", str(tmp_path / "inline.csv")) == 0
     with open(tmp_path / "lane.csv", "rb") as f:
         lane = f.read()
@@ -1055,8 +1080,18 @@ def test_readme_commands_parse():
         shlex.split(c)[1] for c in commands}
 
 
+def test_readme_layout_names_every_module():
+    text = read(os.path.join(os.path.dirname(__file__), "..", "README.md"))
+    layout = text.split("## Layout", 1)[1].split("```")[1]
+    listed = {line.split()[0] for line in layout.splitlines()
+              if line.startswith("  ") and line.split()[0].endswith(".py")}
+    modules = set(os.listdir(os.path.dirname(cli.__file__)))
+    assert listed == {name for name in modules
+                      if name.endswith(".py") and name != "__init__.py"}
+
+
 def test_commands_run_on_one_blas_thread(monkeypatch):
-    fns = autodiff._openblas_thread_fns()
+    fns = ln._openblas_thread_fns()
     if fns is None:
         pytest.skip("numpy does not link OpenBLAS")
     seen = []

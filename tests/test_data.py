@@ -565,6 +565,14 @@ def test_align_requires_overlap():
         data.align_ground_truth(seq, shifted)
 
 
+@pytest.mark.parametrize("offset_s", [1e10, -1e10, 1e300, np.inf, np.nan])
+def test_align_refuses_an_offset_that_leaves_int64(offset_s):
+    # the shifted stamps once wrapped around, or round() raised OverflowError
+    seq, gt = scene_to_objects(make_scene(duration=1.0))
+    with pytest.raises(data.ValidationError, match="out of int64"):
+        data.align_ground_truth(seq, gt, offset_s=offset_s)
+
+
 def test_align_applies_time_offset():
     scene = make_scene(duration=2.0)
     seq, gt = scene_to_objects(scene)

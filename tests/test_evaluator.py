@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from gyrodenoise import autodiff, cli, data, evaluator, imu, network, so3
+from gyrodenoise import cli, data, evaluator, imu, network, so3
+from gyrodenoise import lane as ln
 
 
 def make_scene(duration=30.0, seed=0, calib=None):
@@ -244,6 +245,17 @@ def test_roe_record_holds_the_report_columns_bit_for_bit(tmp_path):
                 col = getattr(got.roe_samples[dist], name)
                 assert col.dtype == evaluator.ROE_DTYPE[name]
                 assert col.tobytes() == getattr(w, name).tobytes(), name
+    # the empty 21 m bucket draws no box, and its quartiles are JSON nulls
+    assert "nan" not in (tmp_path / "roe_boxplot.svg").read_text().lower()
+
+    def no_constant(name):
+        raise ValueError(f"summary.json holds {name}, which is not JSON")
+
+    with open(path) as f:
+        strict = json.load(f, parse_constant=no_constant)
+    assert strict["summaries"][0]["roe"]["21.0"] == {
+        "count": 0, "median_3d": None, "p25_3d": None, "p75_3d": None,
+        "median_yaw": None, "p25_yaw": None, "p75_yaw": None}
 
 
 def test_load_reports_rejects_roe_npy_that_does_not_match(tmp_path):
@@ -455,7 +467,7 @@ def test_run_baselines_uses_the_open_lane(monkeypatch):
     calib = imu.CalibParams(bias=np.array([0.02, -0.015, 0.01, 0, 0, 0]))
     _, seq, gt = make_scene(duration=12.0, seed=12, calib=calib)
     seen = record_threads(monkeypatch)
-    with autodiff.compute_lane() as lane:
+    with ln.compute_lane() as lane:
         lane_thread = lane.submit(threading.current_thread).result()
         threads = threading.active_count()
         evaluator.run_baselines([("s", seq, gt)], calibration_params(calib),
@@ -474,6 +486,32 @@ def test_run_baselines_opens_and_joins_a_lane_of_its_own(monkeypatch):
                             distances=(7.0,))
     assert seen["proposed"][0].startswith("autodiff-lane")
     assert threading.active_count() == threads
+
+
+def test_run_baselines_without_a_lane_runs_the_cnn_on_one_blas_thread(
+        monkeypatch):
+    fns = ln._openblas_thread_fns()
+    if fns is None:
+        pytest.skip("numpy does not link OpenBLAS")
+    get, put = fns
+    _, seq, gt = make_scene(duration=12.0, seed=12)
+    forward, counts = network.forward, []
+
+    def counted(params, x, training=False, rng=None, zero_input=False):
+        counts.append(get())
+        return forward(params, x, training, rng, zero_input)
+
+    monkeypatch.setattr(network, "forward", counted)
+    before = get()
+    put(2)
+    try:
+        evaluator.run_baselines([("s", seq, gt)], network.ModelParams(seed=0),
+                                distances=(7.0,))
+        after = get()
+    finally:
+        put(before)
+    assert counts and set(counts) == {1}
+    assert after == 2
 
 
 @pytest.mark.parametrize("methods, first", [
@@ -523,7 +561,7 @@ def test_a_sequence_that_fails_its_roe_windows_stops_the_lane(monkeypatch):
     _, seq, gt = make_scene(duration=12.0, seed=12)
     claimed, stopped = threading.Event(), threading.Event()
     blocks = []
-    forward, stop = network.forward, autodiff.Jobs.stop
+    forward, stop = network.forward, ln.Jobs.stop
 
     def held(params, x, training=False, rng=None, zero_input=False):
         blocks.append(threading.current_thread().name)
@@ -540,7 +578,7 @@ def test_a_sequence_that_fails_its_roe_windows_stops_the_lane(monkeypatch):
         stopped.set()
 
     monkeypatch.setattr(network, "forward", held)
-    monkeypatch.setattr(autodiff.Jobs, "stop", stopping)
+    monkeypatch.setattr(ln.Jobs, "stop", stopping)
     monkeypatch.setattr(evaluator, "roe_windows", failing)
     with pytest.raises(ValueError, match="trajectory too short"):
         evaluator.run_baselines([("s", seq, gt)], network.ModelParams(),

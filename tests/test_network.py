@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gyrodenoise import autodiff as ad
+from gyrodenoise import lane as ln
 from gyrodenoise import cli, data, imu, network, so3
 
 
@@ -404,7 +405,7 @@ def test_integrate_corrected_blocks_match_one_padded_forward(one_thread):
     assert network.EVAL_BLOCK == 1024
     full, r0 = _scene_sequence(60.0, seed=11)
     params = _trained_like_params()
-    blas = ad.one_blas_thread() if one_thread else contextlib.nullcontext()
+    blas = ln.one_blas_thread() if one_thread else contextlib.nullcontext()
     with blas:
         for n in (2, 510, 511, 1023, 1024, 1025, 2047, 2048, 2049, 4097,
                   12_000):
@@ -424,10 +425,10 @@ def test_rate_blocks_shared_with_a_lane_are_the_bits_of_one_thread(n):
     full, r0 = _scene_sequence(25.0, seed=12)
     seq = full.window(0, n)
     params = _trained_like_params()
-    with ad.one_blas_thread():
+    with ln.one_blas_thread():
         alone = np.concatenate(network.rate_blocks(params, seq).join())
         est_alone = network.integrate_corrected(params, seq, r0)
-        with ad.compute_lane():
+        with ln.compute_lane():
             shared = np.concatenate(
                 network.rate_blocks(params, seq).start().join())
             est_shared = network.integrate_corrected(params, seq, r0)
@@ -455,7 +456,7 @@ def test_both_threads_take_blocks_from_the_queue(monkeypatch):
         return forward(params, x, training, rng, zero_input)
 
     monkeypatch.setattr(network, "forward", held)
-    with ad.one_blas_thread(), ad.compute_lane():
+    with ln.one_blas_thread(), ln.compute_lane():
         got = network.integrate_corrected(params, seq, r0)
     main = threading.current_thread().name
     lane = [name for name in took if name != main]
@@ -525,7 +526,7 @@ def test_a_block_error_stops_the_queue_and_surfaces_in_join(monkeypatch):
         raise ValueError("block failed")
 
     monkeypatch.setattr(network, "forward", failing)
-    with ad.compute_lane():
+    with ln.compute_lane():
         blocks = network.rate_blocks(params, seq).start()
         with pytest.raises(ValueError, match="block failed"):
             blocks.join()
@@ -541,19 +542,19 @@ def test_eval_block_kernels_stay_under_the_lane_threshold(monkeypatch,
     params = _trained_like_params()
     cfg = params.config
     widest = max(c * network.EVAL_BLOCK for c in cfg.channels[1:])
-    assert widest == 131_072 < ad.LANE_MIN_SIZE
+    assert widest == 131_072 < ln.LANE_MIN_SIZE
     sizes = []
-    halves = ad._halves
+    halves = ln._halves
 
     def recorded(body, like):
         sizes.append(like.size)
         return halves(body, like)
 
-    monkeypatch.setattr(ad, "_halves", recorded)
+    monkeypatch.setattr(ln, "_halves", recorded)
     seq, _ = _scene_sequence(12.0, seed=13)
     x = _mean_padded(params, seq)[:, :, :network.EVAL_BLOCK
                                         + cfg.receptive_field]
-    with ad.no_grad(), ad.compute_lane():
+    with ad.no_grad(), ln.compute_lane():
         network.forward(params, x)
     assert max(sizes) == widest
     assert lane_handoffs == []
